@@ -11,7 +11,9 @@ Subcommands:
 * ``selftest``                        the exact identity suite
 
 Exit status: 0 when everything printed PASS, 1 on any FAIL, 2 on usage
-errors.  ``TAUFORMS_PREC_BITS`` overrides the default 256-bit float
+errors, which print one line to stderr: an argument out of range, a table
+beyond the kernel's limit, or a ``TAUFORMS_PREC_BITS`` that is not an
+integer >= 16.  ``TAUFORMS_PREC_BITS`` overrides the default 256-bit float
 precision; ``TAUFORMS_JIT=0`` disables the jitted kernels.
 """
 
@@ -30,23 +32,34 @@ from . import lseries
 from .arith import DEFAULT_PREC_BITS, mpf_str, rat_str
 from .calculus import ramanujan_derivatives
 from .forms import NotModularError, in_basis, tau, tau_table
-from .poincare import identity_catalog
+from .poincare import catalog_identity, identity_catalog
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _prec_bits(args) -> int:
-    if getattr(args, "prec_bits", None):
-        return args.prec_bits
+    """Float precision from --prec-bits, else TAUFORMS_PREC_BITS, else the default."""
     env = os.environ.get("TAUFORMS_PREC_BITS")
-    if env:
+    if args.prec_bits is not None:
+        bits, source = args.prec_bits, "--prec-bits"
+    elif env:
+        source = "TAUFORMS_PREC_BITS"
         try:
-            return max(16, int(env))
+            bits = int(env)
         except ValueError:
-            pass
-    return DEFAULT_PREC_BITS
+            _usage_error(f"{source} must be an integer, got {env!r}")
+    else:
+        return DEFAULT_PREC_BITS
+    if bits < 16:
+        _usage_error(f"{source} must be at least 16, got {bits}")
+    return bits
 
 
 def _parse_expr(text: str):
@@ -110,6 +123,9 @@ def cmd_verify_tau(args) -> int:
         print("error: need 1 <= m-from <= m-to", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # one tau table for the whole sweep, sized for its last m
+        tier_cutoff = lseries.TIERS[catalog_identity(args.id).s][0]
+        tau_table(args.m_to + (tier_cutoff if args.cutoff is None else args.cutoff))
         reports = [
             lseries.verify_identity(args.id, m, tol=args.tol, cutoff=args.cutoff, prec_bits=prec)
             for m in range(args.m_from, args.m_to + 1)
@@ -138,7 +154,11 @@ def cmd_lvalues(args) -> int:
     rows = []
     ok = True
     for (a, s) in lseries.M0_CONSTANTS:
-        val = lseries.lvalue_m0(a, s, cutoff=args.cutoff, prec_bits=prec)
+        try:
+            val = lseries.lvalue_m0(a, s, cutoff=args.cutoff, prec_bits=prec)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         with mp.workprec(prec):
             diff = abs(val.numeric - mp.mpf(val.printed))
             match = diff < mp.mpf("5e-4")
@@ -213,7 +233,11 @@ def cmd_tau(args) -> int:
     if args.n < 1:
         print("error: tau(n) needs n >= 1", file=sys.stderr)
         return EXIT_USAGE
-    tau_table(args.n)
+    try:
+        tau_table(args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(tau(args.n))
     return EXIT_PASS
 

@@ -159,9 +159,18 @@ class _TauCache:
         self._table: list[int] = [0]
 
     def ensure(self, nmax: int) -> list[int]:
+        """The table up to at least tau(nmax).
+
+        The first build is exact; a regrowth takes at least 1.5x the old
+        length (within the kernel's limit), so a sweep over growing nmax
+        builds O(log) tables rather than one per step.
+        """
         if len(self._table) <= nmax:
             with self._lock:
-                if len(self._table) <= nmax:
+                have = len(self._table)
+                if have <= nmax:
+                    if have > 1:
+                        nmax = max(nmax, min(have * 3 // 2, _kernels._MAX_PREC))
                     self._table = _kernels.tau_numbers(nmax)
         return self._table
 

@@ -1,18 +1,26 @@
 """High-precision evaluation of the shifted L-series sum sigma_a(n) tau(m+n) / (m+n)^s.
 
-Exact integers (tau from the eta product, sigma from a sieve) are
-converted once to big floats at the query precision and summed in fixed
-ascending order, so every result is bit-for-bit reproducible.  Certified
-tail bounds (Deligne bound, explicit divisor bound, integral comparison,
-safety factor 2) are available for s >= 10; for s in {8, 9} the certified
-bound decays too slowly to be useful and the reported tail is the
-non-rigorous envelope `10 x max |term| over the last decade`.
+The sums are taken in fixed-point integers.  With G = prec_bits + 64 guard
+bits, the weights W[u] = floor(tau(u) 2^G / u^s) are built once per exponent
+from the exact tau table, and sum_n sigma_a(n) W[m+n] is an exact integer:
+it does not depend on the order of summation or on how the tables grew, so
+every result is bit-for-bit reproducible.  It is converted to a big float
+at ``prec_bits`` only at the end.  Each result carries ``err_round``, a
+rigorous bound on its rounding error: 2^-G sum_n sigma_a(n) for the floored
+weights (times n for the n-weighted series) plus half an ulp of the final
+conversion.  Certified tail bounds (Deligne bound, explicit divisor bound,
+integral comparison, safety factor 2) are available for s >= 10; for
+s in {8, 9} the certified bound decays too slowly to be useful and the
+reported tail is the non-rigorous envelope `10 x max |term| over
+T/10 <= n <= T`.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import islice
+from operator import mul
 
 from mpmath import mp
 
@@ -90,43 +98,70 @@ class LResult:
     tail_estimate: object  # mpf
     rigorous: bool
     terms_used: int
+    err_round: object  # mpf, rigorous bound on |partial_sum - exact sum over n <= cutoff|
 
 
 # ---------------------------------------------------------------------------
-# Shared big-float tables, keyed by precision (and exponent for the weights).
+# Shared fixed-point integer tables.  Sigma is kept per divisor power a; the
+# weights W[u] = floor(tau(u) 2^G / u^s) per exponent s, replaced only when
+# the guard precision G changes.  Weight tables grow by appending.
+
+_GUARD_BITS = 64
+_tables_lock = threading.Lock()
+_sigma_tables: dict[int, list[int]] = {}
+_weight_tables: dict[int, tuple[int, list[int]]] = {}
 
 
-class _MpfTables:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._sigma: dict[tuple[int, int], list] = {}
-        self._weights: dict[tuple[int, int], list] = {}
-
-    def sigma(self, a: int, nmax: int, prec: int) -> list:
-        key = (a, prec)
-        with self._lock:
-            cur = self._sigma.get(key, [])
-            if len(cur) <= nmax:
-                raw = _kernels.sigma_range(a, nmax)
-                with mp.workprec(prec):
-                    cur = [mp.mpf(int(x)) for x in raw.tolist()]
-                self._sigma[key] = cur
-            return cur
-
-    def weights(self, s: int, umax: int, prec: int) -> list:
-        """w[u] = tau(u) / u^s as mpf, u = 1..umax."""
-        key = (s, prec)
-        with self._lock:
-            cur = self._weights.get(key, [])
-            if len(cur) <= umax:
-                tau = tau_table(umax)
-                with mp.workprec(prec):
-                    cur = [mp.mpf(0)] + [mp.mpf(tau[u]) / mp.mpf(u**s) for u in range(1, umax + 1)]
-                self._weights[key] = cur
-            return cur
+def _sigma(a: int, nmax: int) -> list[int]:
+    """sigma_a(n) for n = 0..nmax (at least) as Python ints; entry 0 is 0."""
+    with _tables_lock:
+        cur = _sigma_tables.get(a, [])
+        if len(cur) <= nmax:
+            cur = _sigma_tables[a] = _kernels.sigma_range(a, nmax).tolist()
+        return cur
 
 
-_tables = _MpfTables()
+def _weights(s: int, umax: int, guard: int) -> list[int]:
+    """W[u] = floor(tau(u) 2^guard / u^s) for u = 1..umax (at least); W[0] = 0."""
+    with _tables_lock:
+        cached_guard, w = _weight_tables.get(s, (guard, [0]))
+        if cached_guard != guard:
+            w = [0]
+        if len(w) <= umax:
+            tau = tau_table(umax)
+            w.extend((tau[u] << guard) // u**s for u in range(len(w), umax + 1))
+        _weight_tables[s] = (guard, w)
+        return w
+
+
+def _dot(sig: list[int], w: list[int], shift: int, n_weight: bool) -> tuple[int, int, int]:
+    """Exact sum over n = 1..T of sig[n-1] w[shift + n], times n when ``n_weight``.
+
+    ``sig`` holds sigma_a(1..T).  Returns the sum, the rounding weight (the
+    same sum with every w replaced by 1, which bounds the flooring error of
+    the w in units of 2^-G), and the largest |term| over n >= max(1, T // 10).
+    """
+    T = len(sig)
+    if n_weight:
+        sig = list(map(mul, sig, range(1, T + 1)))
+    terms = list(map(mul, sig, islice(w, shift + 1, shift + T + 1)))
+    envelope = max(map(abs, islice(terms, max(1, T // 10) - 1, None)))
+    return sum(terms), sum(sig), envelope
+
+
+def _fixed_sum(a: int, s: int, shift: int, cutoff: int, prec: int, n_weight: bool = False):
+    """The shifted sum at ``prec`` bits: (value, err_round, envelope) as mpf."""
+    guard = prec + _GUARD_BITS
+    acc, weight, envelope = _dot(
+        _sigma(a, cutoff)[1 : cutoff + 1], _weights(s, shift + cutoff, guard), shift, n_weight
+    )
+    # Rounding acc to prec bits loses at most half an ulp: 2^(excess - 1) units.
+    excess = abs(acc).bit_length() - prec
+    err_units = weight + (1 << (excess - 1) if excess > 0 else 0)
+    with mp.workprec(max(prec, err_units.bit_length())):
+        err_round = mp.ldexp(mp.mpf(err_units), -guard)  # exact
+    with mp.workprec(prec):
+        return mp.ldexp(mp.mpf(acc), -guard), err_round, mp.ldexp(mp.mpf(envelope), -guard)
 
 
 def _certified_tail(m: int, a: int, s: int, cutoff: int, n_weight: bool):
@@ -154,32 +189,16 @@ def _certified_tail(m: int, a: int, s: int, cutoff: int, n_weight: bool):
 
 
 def shifted_L(query: LQuery) -> LResult:
-    """Partial sum over n <= cutoff, in fixed ascending order, plus tail data."""
+    """Partial sum over n <= cutoff, its rounding bound, plus tail data."""
     if query.m == 0:
         raise ValueError("m = 0 has no tau(m) normalization; use lvalue_m0")
     m, a, s, T, prec = query.m, query.a, query.s, query.cutoff, query.prec_bits
-    sig = _tables.sigma(a, T, prec)
-    w = _tables.weights(s, m + T, prec)
-    env_from = max(1, T // 10)
+    partial, err_round, envelope = _fixed_sum(a, s, m, T, prec, query.n_weight)
     with mp.workprec(prec):
-        acc = mp.mpf(0)
-        envelope = mp.mpf(0)
-        if query.n_weight:
-            for n in range(1, T + 1):
-                term = sig[n] * w[m + n] * n
-                acc += term
-                if n >= env_from and abs(term) > envelope:
-                    envelope = abs(term)
-        else:
-            for n in range(1, T + 1):
-                term = sig[n] * w[m + n]
-                acc += term
-                if n >= env_from and abs(term) > envelope:
-                    envelope = abs(term)
         certified = _certified_tail(m, a, s, T, query.n_weight) if s >= 10 else None
         if certified is not None:
-            return LResult(acc, certified, True, T)
-        return LResult(acc, 10 * envelope, False, T)
+            return LResult(partial, certified, True, T, err_round)
+        return LResult(partial, 10 * envelope, False, T, err_round)
 
 
 def hidden_moment(m: int, cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) -> LResult:
@@ -302,13 +321,11 @@ def lvalue_m0(
         raise ValueError(f"(a, s) = ({a}, {s}) has no m = 0 closed form")
     if cutoff is None:
         cutoff = TIERS[s][0]
-    sig = _tables.sigma(a, cutoff, prec_bits)
-    w = _tables.weights(s, cutoff, prec_bits)
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    acc = _fixed_sum(a, s, 0, cutoff, prec_bits)[0]
     const = M0_CONSTANTS[(a, s)]
     with mp.workprec(prec_bits):
-        acc = mp.mpf(0)
-        for n in range(1, cutoff + 1):
-            acc += sig[n] * w[n]
         predicted = (
             mp.mpf(int(const.numerator))
             / mp.mpf(int(const.denominator))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tauforms import expr
+from tauforms import _kernels, expr, forms
 from tauforms.arith import Rat
 from tauforms.cli import main
 from tauforms.forms import delta, eisenstein
@@ -216,3 +216,44 @@ def test_cli_lvalues_small_cutoff(capsys):
     assert len(rows) == 6
     assert {"a", "s", "numeric", "predicted", "constant", "printed", "verdict"} <= set(rows[0])
 
+
+
+def test_cli_verify_tau_builds_the_tau_table_once(capsys, monkeypatch):
+    built = []
+    real = _kernels.tau_numbers
+    monkeypatch.setattr(forms, "_tau_cache", forms._TauCache())
+    monkeypatch.setattr(_kernels, "tau_numbers", lambda nmax: built.append(nmax) or real(nmax))
+    main(["verify-tau", "--id", "kumar", "--m-from", "1", "--m-to", "3", "--cutoff", "2000"])
+    assert built == [2003]
+
+
+@pytest.mark.parametrize(
+    ("argv", "prec_env"),
+    [
+        pytest.param(["tau", "2000000"], None, id="tau-beyond-limit"),
+        pytest.param(["lvalues", "--cutoff", "10"], "abc", id="prec-env-not-int"),
+        pytest.param(["lvalues", "--cutoff", "10"], "8", id="prec-env-too-small"),
+        pytest.param(["petersson", "--prec-bits", "0"], None, id="prec-bits-zero"),
+        pytest.param(["lvalues", "--cutoff", "0"], None, id="lvalues-cutoff-0"),
+        pytest.param(["lvalues", "--cutoff", "2000000"], None, id="lvalues-cutoff-beyond-limit"),
+        pytest.param(
+            ["verify-tau", "--id", "kumar", "--m-from", "1", "--m-to", "2000000"], None, id="verify-m-beyond-limit"
+        ),
+        pytest.param(
+            ["verify-tau", "--id", "kumar", "--m-from", "1", "--m-to", "1", "--cutoff", "0"], None, id="verify-cutoff-0"
+        ),
+    ],
+)
+def test_cli_input_contract_exits_2_with_one_line(argv, prec_env, capsys, monkeypatch):
+    if prec_env is None:
+        monkeypatch.delenv("TAUFORMS_PREC_BITS", raising=False)
+    else:
+        monkeypatch.setenv("TAUFORMS_PREC_BITS", prec_env)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1,8 +1,9 @@
 import pytest
 from mpmath import mp
 
+from tauforms import _kernels, forms, lseries
 from tauforms.arith import Rat, rat_str
-from tauforms.forms import tau_table
+from tauforms.forms import sigma, tau_table
 from tauforms.lseries import (
     LQuery,
     M0_CONSTANTS,
@@ -153,6 +154,37 @@ def test_mpf_tables_grow_consistently():
     shifted_L(LQuery(1, 1, 11, 900))
     b = shifted_L(LQuery(1, 1, 11, 300)).partial_sum
     assert a == b
+
+
+@pytest.mark.parametrize(
+    ("a", "s", "n_weight"),
+    [(1, 11, False), (3, 11, False), (1, 10, False), (3, 10, False), (1, 9, False), (1, 8, False), (3, 11, True)],
+)
+def test_err_round_bounds_the_fixed_point_sum(a, s, n_weight):
+    m, cutoff, prec = 3, 2000, 256
+    res = shifted_L(LQuery(m, a, s, cutoff, prec, n_weight=n_weight))
+    tau = tau_table(m + cutoff)
+    with mp.workprec(1024):
+        # independent reference: trial-division sigma, plain big-float sum
+        ref = mp.fsum(
+            mp.mpf(sigma(a, n) * (n if n_weight else 1) * tau[m + n]) / mp.mpf(m + n) ** s
+            for n in range(1, cutoff + 1)
+        )
+        gap = abs(res.partial_sum - ref)
+        assert gap <= res.err_round + mp.ldexp(abs(ref), -prec)
+    assert 0 < res.err_round < mp.ldexp(1, -prec)
+
+
+def test_tau_table_regrows_geometrically(monkeypatch):
+    built = []
+    real = _kernels.tau_numbers
+    monkeypatch.setattr(forms, "_tau_cache", forms._TauCache())
+    monkeypatch.setattr(lseries, "_weight_tables", {})
+    monkeypatch.setattr(_kernels, "tau_numbers", lambda nmax: built.append(nmax) or real(nmax))
+    for m in range(1, 21):
+        verify_identity("kumar", m, cutoff=2000)
+    assert built[0] == 2001  # the first build is exact
+    assert len(built) <= 2
 
 
 def test_tau_table_long_enough_after_query():
