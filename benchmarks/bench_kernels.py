@@ -2,9 +2,11 @@
 
 Run as:  python benchmarks/bench_kernels.py [PREC]
 
-The eta-product convolution and the divisor sieve are the only hot loops
-in the package; everything else is exact rational arithmetic at small
-precision.  TAUFORMS_JIT=0 forces the numpy path at import time, so this
+The eta-product convolution and the divisor sieve are the two integer
+kernels with a numba path; this script times only them.  The exact
+rational layer (q-series products, Serre derivatives, brackets and the
+certifying solves, at precision 200-2000) is timed by the
+``exact_certify`` workload of ``perfbench/``.  TAUFORMS_JIT=0 forces the numpy path at import time, so this
 script instead calls both implementations directly.
 """
 

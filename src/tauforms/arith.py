@@ -140,13 +140,23 @@ def solve_exact(columns: list[list], target: list) -> list:
     All rows of the (possibly overdetermined) system must be satisfied
     exactly, otherwise :class:`InconsistentSystem` is raised.  Columns must
     be linearly independent.
+
+    Elimination runs on a window of leading rows, 2k+2 at first and doubled
+    until the columns reach rank k or the window covers every row; the
+    solution is then checked on every row.
     """
     k = len(columns)
     nrows = len(target)
-    aug = [[as_rat(columns[j][i]) for j in range(k)] + [as_rat(target[i])] for i in range(nrows)]
-    aug, pivots = rref(aug)
-    if k in pivots:
-        raise InconsistentSystem("target not in span")
+    window = 2 * k + 2
+    while True:
+        rows = min(window, nrows)
+        aug = [[as_rat(columns[j][i]) for j in range(k)] + [as_rat(target[i])] for i in range(rows)]
+        aug, pivots = rref(aug)
+        if k in pivots:
+            raise InconsistentSystem("target not in span")
+        if len(pivots) == k or rows == nrows:
+            break
+        window *= 2
     if len(pivots) < k:
         raise ValueError("columns are linearly dependent")
     sol = [ZERO] * k

@@ -183,13 +183,14 @@ class E2Poly:
 
 
 def _rc_seed_series(f: Form, l: int, n_index: int, m: int) -> QSeries:
+    """sum_r (-1)^r C(k+m-1, m-r) C(l+m-1, r) N^{m-r} D^r f, before the q^N shift."""
     k = f.weight
     total = QSeries.zero(f.prec)
     for r in range(m + 1):
         c = Rat((-1) ** r * binomial(k + m - 1, m - r) * binomial(l + m - 1, r)) * Rat(n_index) ** (m - r)
         if c != 0:
             total = total + f.series.derive(r).scale(c)
-    return total.shift(n_index)
+    return total
 
 
 def rc_seed(f: Form, l: int, n_index: int, m: int) -> QSeries:
@@ -208,7 +209,7 @@ def rc_seed(f: Form, l: int, n_index: int, m: int) -> QSeries:
         raise SeedConditionError(
             f"bracket seed with non-cuspidal f needs l >= k+2 (k={f.weight}), got l={l}"
         )
-    return _rc_seed_series(f, l, n_index, m)
+    return _rc_seed_series(f, l, n_index, m).shift(n_index)
 
 
 def _serre_seed_poly(l: int, n_index: int, m: int, prec: int) -> E2Poly:

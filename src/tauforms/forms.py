@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import _kernels
 from .arith import ONE, ZERO, InconsistentSystem, Rat, as_rat, bernoulli, rat_str, solve_exact
-from .qseries import QSeries, delta_series
+from .qseries import QSeries, check_prec, delta_series
 
 
 def sigma(a: int, n: int) -> int:
@@ -127,6 +127,7 @@ def eisenstein(k: int, prec: int) -> Form:
     """Normalized weight-k Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
     if k % 2 or k < 4:
         raise ValueError(f"Eisenstein weight must be even and >= 4 (for weight 2 use e2), got {k}")
+    check_prec(prec)
     c = Rat(-2 * k) / bernoulli(k)
     return Form(k, QSeries([ONE] + [c * sigma(k - 1, n) for n in range(1, prec)]))
 
@@ -134,6 +135,7 @@ def eisenstein(k: int, prec: int) -> Form:
 @lru_cache(maxsize=None)
 def e2(prec: int) -> Form:
     """The quasimodular series of weight 2: 1 - 24 sum sigma_1(n) q^n."""
+    check_prec(prec)
     return Form(2, QSeries([ONE] + [Rat(-24 * sigma(1, n)) for n in range(1, prec)]), quasimodular=True)
 
 

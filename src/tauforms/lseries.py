@@ -355,6 +355,14 @@ def petersson_recover(
     prec_bits: int = DEFAULT_PREC_BITS, petersson_ref: str = PETERSSON_REF
 ) -> PeterssonReport:
     """Invert each m = 0 closed form into an estimate of <Delta, Delta>."""
+    # Size the shared tables once for the longest sum; the cutoffs grow
+    # through M0_CONSTANTS, so each lvalue_m0 would otherwise rebuild them.
+    longest: dict[int, int] = {}
+    for a, s in M0_CONSTANTS:
+        longest[a] = max(longest.get(a, 0), TIERS[s][0])
+    tau_table(max(longest.values()))
+    for a, cutoff in longest.items():
+        _sigma(a, cutoff)
     ests = []
     with mp.workprec(prec_bits):
         ref = mp.mpf(petersson_ref)

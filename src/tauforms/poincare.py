@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .arith import ZERO, Rat, as_rat, binomial, rat_str, solve_exact
-from .calculus import E2Poly, _serre_seed_poly, rc_seed, serre_seed
+from .arith import ZERO, Rat, as_rat, rat_str, solve_exact
+from .calculus import E2Poly, _rc_seed_series, _serre_seed_poly, rc_seed, serre_seed
 from .forms import Form, dim_sk, e2, eisenstein, sigma
 from .qseries import QSeries
 
@@ -260,22 +260,11 @@ def fourth_order_seed(m: int, prec: int) -> QSeries:
     e6 = eisenstein(6, prec)
     e8 = eisenstein(8, prec)
 
-    def bracket_seed(f: Form, l: int, order: int) -> QSeries:
-        k = f.weight
-        total = QSeries.zero(prec)
-        for r in range(order + 1):
-            c = Rat((-1) ** r * binomial(k + order - 1, order - r) * binomial(l + order - 1, r)) * Rat(m) ** (
-                order - r
-            )
-            if c != 0:
-                total = total + f.series.derive(r).scale(c)
-        return total
-
     combo = (
         s4
         + e8.series.truncate(prec).scale(Rat(-35, 864))
-        + bracket_seed(e4, 4, 2).scale(Rat(-7, 40))
-        + bracket_seed(e6, 4, 1).scale(Rat(35, 432))
+        + _rc_seed_series(e4, 4, m, 2).scale(Rat(-7, 40))
+        + _rc_seed_series(e6, 4, m, 1).scale(Rat(35, 432))
     )
     return combo
 

@@ -8,9 +8,16 @@ operand so that no coefficient is ever fabricated.
 from __future__ import annotations
 
 import json
+from math import lcm
 
 from .arith import ONE, ZERO, Rat, as_rat, rat_str
 from . import _kernels
+
+
+def check_prec(prec: int) -> None:
+    """Refuse a precision that would leave no known coefficient."""
+    if prec < 1:
+        raise ValueError(f"precision must be at least 1, got {prec}")
 
 
 class QSeries:
@@ -27,6 +34,7 @@ class QSeries:
 
     @classmethod
     def constant(cls, value, prec: int) -> "QSeries":
+        check_prec(prec)
         return cls((as_rat(value),) + (ZERO,) * (prec - 1))
 
     @classmethod
@@ -87,16 +95,7 @@ class QSeries:
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            n = min(self.prec, other.prec)
-            a, b = self.coeffs, other.coeffs
-            out = [ZERO] * n
-            for i in range(n):
-                ai = a[i]
-                if ai:
-                    for j in range(n - i):
-                        if b[j]:
-                            out[i + j] += ai * b[j]
-            return QSeries(out)
+            return QSeries(_kronecker_product(self.coeffs, other.coeffs))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -155,6 +154,44 @@ class QSeries:
         if data.get("prec") != len(coeffs):
             raise ValueError("declared prec disagrees with coefficient count")
         return cls(coeffs)
+
+
+def _integer_vector(coeffs) -> tuple[list[int], int]:
+    """Integers v and a denominator d with coeffs[i] == v[i] / d, d the lcm of the denominators."""
+    dens = [int(c.denominator) for c in coeffs]
+    d = lcm(*dens)
+    return [int(c.numerator) * (d // e) for c, e in zip(coeffs, dens)], d
+
+
+def _pack(vec: list[int], slot_bytes: int) -> int:
+    """sum vec[i] 2^(8 slot_bytes i) for signed vec[i], each of magnitude below the slot."""
+    pos = b"".join((x if x > 0 else 0).to_bytes(slot_bytes, "little") for x in vec)
+    neg = b"".join((-x if x < 0 else 0).to_bytes(slot_bytes, "little") for x in vec)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kronecker_product(a, b) -> list[Rat]:
+    """The first min(len(a), len(b)) coefficients of the product of two series.
+
+    Both operands go over a common denominator and are packed into one
+    integer each (Kronecker substitution), so the product is one big-integer
+    multiply.  A slot of K bits (whole bytes) holds a signed coefficient of
+    the result: |c_k| <= n max|a_i| max|b_j| < 2^(K-1).  Adding 2^(K-1) to every one of
+    the low n slots makes them nonnegative, so they unpack without borrows.
+    """
+    n = min(len(a), len(b))
+    va, da = _integer_vector(a[:n])
+    vb, db = _integer_vector(b[:n])
+    bits = max(abs(x) for x in va).bit_length() + max(abs(x) for x in vb).bit_length()
+    slot = (bits + n.bit_length() + 2 + 7) // 8
+    half = 1 << (8 * slot - 1)
+    offset = int.from_bytes(half.to_bytes(slot, "little") * n, "little")
+    low = (_pack(va, slot) * _pack(vb, slot) + offset) & ((1 << (8 * slot * n)) - 1)
+    raw = low.to_bytes(slot * n, "little")
+    den = da * db
+    return [
+        Rat(int.from_bytes(raw[i : i + slot], "little") - half, den) for i in range(0, slot * n, slot)
+    ]
 
 
 def delta_series(prec: int) -> QSeries:

@@ -130,3 +130,15 @@ def test_solve_exact_and_inconsistency():
     assert solve_exact(cols, [5, 7, 31]) == [5, 7]
     with pytest.raises(InconsistentSystem):
         solve_exact(cols, [5, 7, 30])
+
+
+def test_solve_exact_widens_its_window_and_checks_every_row():
+    # The columns agree on their first 20 rows, so the first windows (8 and
+    # 16 rows) have rank 1; rank 3 shows only from row 20 on.
+    cols = [[1] * 40, [1] * 20 + list(range(20)), [1] * 20 + [i * i for i in range(20)]]
+    target = [sum(c * x for c, x in zip(row, (2, Rat(-1, 3), 5))) for row in zip(*cols)]
+    assert solve_exact(cols, target) == [2, Rat(-1, 3), 5]
+    with pytest.raises(InconsistentSystem, match="residual at row 39"):
+        solve_exact(cols, target[:-1] + [target[-1] + 1])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        solve_exact([[1] * 40, [2] * 40, [1] * 20 + [0] * 20], [0] * 40)

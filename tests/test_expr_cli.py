@@ -242,6 +242,10 @@ def test_cli_verify_tau_builds_the_tau_table_once(capsys, monkeypatch):
         pytest.param(
             ["verify-tau", "--id", "kumar", "--m-from", "1", "--m-to", "1", "--cutoff", "0"], None, id="verify-cutoff-0"
         ),
+        pytest.param(["expand", "E4", "--prec", "-5"], None, id="expand-prec-negative"),
+        pytest.param(["expand", "E4", "--prec", "0"], None, id="expand-prec-0"),
+        pytest.param(["expand", "2/3", "--prec", "0"], None, id="expand-constant-prec-0"),
+        pytest.param(["basis", "E4", "--prec", "-3"], None, id="basis-prec-negative"),
     ],
 )
 def test_cli_input_contract_exits_2_with_one_line(argv, prec_env, capsys, monkeypatch):

@@ -48,6 +48,21 @@ def test_eisenstein_rejects_low_or_odd_weight():
         eisenstein(5, 5)
 
 
+@pytest.mark.parametrize("prec", [0, -3])
+def test_constructors_refuse_precision_below_one(prec):
+    makers = (
+        QSeries.zero,
+        lambda p: QSeries.constant(5, p),
+        lambda p: eisenstein(4, p),
+        e2,
+        one,
+        lambda p: mk_basis(8, p),
+    )
+    for make in makers:
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            make(prec)
+
+
 def test_e2_coefficients():
     f = e2(6)
     assert f.weight == 2 and f.quasimodular

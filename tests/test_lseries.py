@@ -14,6 +14,7 @@ from tauforms.lseries import (
     exact_lhs_catalog,
     hidden_moment,
     lvalue_m0,
+    petersson_recover,
     shifted_L,
     verify_identity,
 )
@@ -185,6 +186,19 @@ def test_tau_table_regrows_geometrically(monkeypatch):
         verify_identity("kumar", m, cutoff=2000)
     assert built[0] == 2001  # the first build is exact
     assert len(built) <= 2
+
+
+def test_petersson_recover_builds_each_table_once(monkeypatch):
+    built = []
+    real_tau, real_sigma = _kernels.tau_numbers, _kernels.sigma_range
+    monkeypatch.setattr(lseries, "TIERS", {11: (100, 0.0), 10: (1000, 0.0), 9: (1000, 0.0), 8: (3000, 0.0)})
+    monkeypatch.setattr(forms, "_tau_cache", forms._TauCache())
+    monkeypatch.setattr(lseries, "_sigma_tables", {})
+    monkeypatch.setattr(lseries, "_weight_tables", {})
+    monkeypatch.setattr(_kernels, "tau_numbers", lambda nmax: built.append(("tau", nmax)) or real_tau(nmax))
+    monkeypatch.setattr(_kernels, "sigma_range", lambda a, nmax: built.append((a, nmax)) or real_sigma(a, nmax))
+    petersson_recover()
+    assert len(built) == 3 and set(built) == {("tau", 3000), (1, 3000), (3, 1000)}
 
 
 def test_tau_table_long_enough_after_query():

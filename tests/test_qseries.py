@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tauforms import _kernels
 from tauforms.arith import Rat
 from tauforms.forms import e2, eisenstein, sigma
 from tauforms.qseries import QSeries, delta_series
@@ -141,3 +142,53 @@ def test_mul_scalar_and_neg():
     assert f.scale(Rat(1, 2)) == q("1/2", 1, "3/2")
     assert -f == q(-1, -2, -3)
     assert 2 * f == q(2, 4, 6)
+
+
+def schoolbook(a: QSeries, b: QSeries) -> QSeries:
+    """Reference product: one exact multiply-add per coefficient pair."""
+    n = min(a.prec, b.prec)
+    out = [Rat(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return QSeries(out)
+
+
+_COPRIME_DENS = (1, 2, 3, 5, 7, 11, 13, 691, 3617, 2**61 - 1)
+_big = st.builds(lambda m, neg: -m if neg else m, st.integers(2**200, 2**230), st.booleans())
+_coeff = st.one_of(
+    st.just(Rat(0)),
+    st.builds(Rat, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds(Rat, _big, st.sampled_from(_COPRIME_DENS)),
+    st.builds(Rat, st.integers(-(10**6), 10**6), st.sampled_from(_COPRIME_DENS)),
+)
+# Runs of one repeated coefficient, so zeros come in runs as well as alone.
+_runs_series = st.lists(st.tuples(_coeff, st.integers(1, 8)), min_size=1, max_size=8).map(
+    lambda runs: QSeries([c for c, k in runs for _ in range(k)])
+)
+
+
+@settings(max_examples=200)
+@given(_runs_series, _runs_series)
+@example(QSeries([Rat(-3, 7)]), QSeries([Rat(5, 11)]))
+@example(QSeries.zero(9), QSeries([Rat(2**201 + 1, 691), Rat(-1, 3617), Rat(0), Rat(7, 2)]))
+@example(QSeries([Rat(-(2**220), 13)] * 5), QSeries.zero(1))
+def test_mul_matches_schoolbook(f, g):
+    prod = f * g
+    assert prod == schoolbook(f, g)
+    assert prod.prec == min(f.prec, g.prec)
+    assert g * f == prod
+
+
+def test_deep_products_match_closed_forms():
+    prec = 2000
+    E2 = e2(prec).series
+    E4 = eisenstein(4, prec).series
+    E6 = eisenstein(6, prec).series
+    sq = E2 * E2
+    assert sq[0] == 1
+    assert all(sq[n] == 240 * sigma(3, n) - 288 * n * sigma(1, n) for n in range(1, prec))
+    assert E4 * E6 == eisenstein(10, prec).series
+    disc = (E4**3 - E6 * E6).scale(Rat(1, 1728))
+    assert disc[0] == 0
+    assert list(disc.coeffs[1:]) == _kernels.tau_numbers(prec - 1)[1:prec]
