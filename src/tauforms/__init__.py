@@ -26,7 +26,6 @@ from .forms import (
     tau_table,
 )
 from .calculus import (
-    E2Poly,
     QuasimodularInput,
     SeedConditionError,
     ramanujan_derivatives,
@@ -35,7 +34,6 @@ from .calculus import (
     serre,
     serre_recursive,
     serre_seed,
-    serre_seed_poly,
 )
 from .poincare import (
     FormalPoincare,
@@ -90,7 +88,6 @@ __all__ = [
     "sigma",
     "tau",
     "tau_table",
-    "E2Poly",
     "QuasimodularInput",
     "SeedConditionError",
     "ramanujan_derivatives",
@@ -99,7 +96,6 @@ __all__ = [
     "serre",
     "serre_recursive",
     "serre_seed",
-    "serre_seed_poly",
     "FormalPoincare",
     "Growth",
     "TauIdentity",

@@ -179,11 +179,6 @@ def rat_to_mpf(x, prec_bits: int = DEFAULT_PREC_BITS):
         return mp.make_mpf(from_rational(int(r.numerator), int(r.denominator), prec_bits, "n"))
 
 
-def int_to_mpf(n: int, prec_bits: int = DEFAULT_PREC_BITS):
-    with mp.workprec(prec_bits):
-        return mp.mpf(n)
-
-
 def mpf_str(x, digits: int = 25) -> str:
     """Decimal string with an explicit digit count."""
     import mpmath

@@ -12,19 +12,20 @@ where (x)_(j) is the rising factorial.  Both preserve modularity; the
 recursive definition of theta^[m] is kept alongside as an independent
 cross-check.
 
-Seed constructors package the same combinatorics applied to q^N in place
-of a form: averaging such a seed over the modular group reproduces the
-bracket (or Serre derivative) of the exponential Poincare series of index
-N, which is how the downstream tau relations are generated.
+Each operator's coefficient list is written once (``_rc_coeffs``,
+``_serre_coeffs``).  The seed constructors are the same operators applied
+to q^N in place of a form, with D^j q^N = N^j q^N, so each seed is a plain
+q-series: averaging it over the modular group reproduces the bracket (or
+Serre derivative) of the exponential Poincare series of index N, which is
+how the downstream tau relations are generated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .arith import Rat, as_rat, binomial, pochhammer
-from .forms import Form, e2, eisenstein
+from .arith import Rat, binomial, pochhammer
+from .forms import CACHE_MAXSIZE, Form, e2, eisenstein
 from .qseries import QSeries
 
 
@@ -41,9 +42,21 @@ def _require_modular(f: Form, op: str) -> None:
         raise QuasimodularInput(f"{op} requires modular input, got a quasimodular form of weight {f.weight}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _e2_power(r: int, prec: int) -> QSeries:
     return e2(prec).series ** r
+
+
+def _rc_coeffs(k: int, l: int, n: int) -> list[int]:
+    """c_j of [f, g]_n = sum_j c_j D^j f D^{n-j} g on weights (k, l):
+    c_j = (-1)^j C(k+n-1, n-j) C(l+n-1, j)."""
+    return [(-1) ** j * binomial(k + n - 1, n - j) * binomial(l + n - 1, j) for j in range(n + 1)]
+
+
+def _serre_coeffs(k: int, m: int) -> list[Rat]:
+    """c_r of theta^[m] f = sum_r c_r E2^{m-r} D^r f on weight k:
+    c_r = C(m, r) (k+r)_(m-r) (-1/12)^{m-r}."""
+    return [Rat(binomial(m, r) * pochhammer(k + r, m - r)) * Rat(-1, 12) ** (m - r) for r in range(m + 1)]
 
 
 def rankin_cohen(f: Form, g: Form, n: int) -> Form:
@@ -54,10 +67,7 @@ def rankin_cohen(f: Form, g: Form, n: int) -> Form:
         raise ValueError("bracket order must be >= 0")
     k, l = f.weight, g.weight
     total = None
-    for j in range(n + 1):
-        c = binomial(k + n - 1, n - j) * binomial(l + n - 1, j)
-        if j % 2:
-            c = -c
+    for j, c in enumerate(_rc_coeffs(k, l, n)):
         term = (f.series.derive(j) * g.series.derive(n - j)).scale(c)
         total = term if total is None else total + term
     return Form(k + l + 2 * n, total, is_cusp=n >= 1 or f.is_cusp or g.is_cusp)
@@ -73,8 +83,7 @@ def serre(f: Form, m: int) -> Form:
     k = f.weight
     prec = f.prec
     total = None
-    for r in range(m + 1):
-        c = Rat(binomial(m, r) * pochhammer(k + r, m - r)) * Rat(-1, 12) ** (m - r)
+    for r, c in enumerate(_serre_coeffs(k, m)):
         term = (_e2_power(m - r, prec) * f.series.derive(r)).scale(c)
         total = term if total is None else total + term
     return Form(k + 2 * m, total, is_cusp=f.is_cusp)
@@ -108,86 +117,14 @@ def serre_recursive(f: Form, m: int) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in E2 (seed carrier for the Serre-derivative constructions).
-
-
-@dataclass(frozen=True)
-class E2Poly:
-    """sum_r slot_r(q) E2(q)^r.
-
-    ``weight`` is the pretend weight of the exponential seed the polynomial
-    decorates; a genuine form stored in slot r must have that same weight
-    minus 2r, while rational constants may occupy any slot.
-    """
-
-    weight: int
-    slots: tuple[tuple[int, QSeries], ...]  # (exponent r, slot series), r ascending
-    display: str = field(default="", compare=False)
-
-    @classmethod
-    def from_terms(cls, weight: int, terms: dict[int, list], prec: int, display: str = "") -> "E2Poly":
-        """terms maps r to a list of (scalar, Form-or-None); None means the constant 1."""
-        slots = []
-        for r in sorted(terms):
-            acc = QSeries.zero(prec)
-            for scalar, form in terms[r]:
-                scalar = as_rat(scalar)
-                if form is None:
-                    acc = acc + QSeries.constant(scalar, prec)
-                else:
-                    if form.weight != weight - 2 * r:
-                        raise ValueError(
-                            f"slot {r} of a weight-{weight} polynomial needs weight {weight - 2 * r}, "
-                            f"got {form.weight}"
-                        )
-                    acc = acc + form.series.truncate(prec).scale(scalar)
-            slots.append((r, acc))
-        return cls(weight, tuple(slots), display)
-
-    def slot(self, r: int) -> QSeries | None:
-        for rr, s in self.slots:
-            if rr == r:
-                return s
-        return None
-
-    def evaluate(self, prec: int | None = None) -> QSeries:
-        """Substitute the q-expansion of E2."""
-        if prec is None:
-            prec = min(s.prec for _, s in self.slots)
-        total = QSeries.zero(prec)
-        for r, s in self.slots:
-            total = total + (s.truncate(prec) * _e2_power(r, prec) if r else s.truncate(prec))
-        return total
-
-    def __add__(self, other: "E2Poly") -> "E2Poly":
-        if self.weight != other.weight:
-            raise ValueError(f"weight mismatch {self.weight} vs {other.weight}")
-        merged: dict[int, QSeries] = dict(self.slots)
-        for r, s in other.slots:
-            merged[r] = merged[r] + s if r in merged else s
-        disp = f"({self.display}) + ({other.display})" if self.display and other.display else ""
-        return E2Poly(self.weight, tuple(sorted(merged.items())), disp)
-
-    def scale(self, c) -> "E2Poly":
-        c = as_rat(c)
-        return E2Poly(self.weight, tuple((r, s.scale(c)) for r, s in self.slots), self.display)
-
-    def __repr__(self) -> str:
-        if self.display:
-            return f"E2Poly({self.display})"
-        return f"E2Poly(weight={self.weight}, E2-degrees {[r for r, _ in self.slots]})"
-
-
-# ---------------------------------------------------------------------------
-# Seed constructors.
+# Seed constructors: the operators above applied to q^N, where D^j q^N = N^j q^N.
 
 
 def _rc_seed_series(f: Form, l: int, n_index: int, m: int) -> QSeries:
-    """sum_r (-1)^r C(k+m-1, m-r) C(l+m-1, r) N^{m-r} D^r f, before the q^N shift."""
-    k = f.weight
+    """[f, q^N]_m / q^N = sum_r c_r N^{m-r} D^r f, with c_r from :func:`_rc_coeffs`."""
     total = QSeries.zero(f.prec)
-    for r in range(m + 1):
-        c = Rat((-1) ** r * binomial(k + m - 1, m - r) * binomial(l + m - 1, r)) * Rat(n_index) ** (m - r)
+    for r, c in enumerate(_rc_coeffs(f.weight, l, m)):
+        c = Rat(c) * Rat(n_index) ** (m - r)
         if c != 0:
             total = total + f.series.derive(r).scale(c)
     return total
@@ -212,21 +149,25 @@ def rc_seed(f: Form, l: int, n_index: int, m: int) -> QSeries:
     return _rc_seed_series(f, l, n_index, m).shift(n_index)
 
 
-def _serre_seed_poly(l: int, n_index: int, m: int, prec: int) -> E2Poly:
-    terms: dict[int, list] = {}
-    for r in range(m + 1):
-        c = Rat(binomial(m, r) * pochhammer(l + m - r, r)) * Rat(-1, 12) ** r * Rat(n_index) ** (m - r)
+def _serre_seed_series(l: int, n_index: int, m: int, prec: int) -> QSeries:
+    """theta^[m] q^N / q^N in weight l = sum_r c_r N^r E2^{m-r}, with c_r from :func:`_serre_coeffs`.
+
+    Builds the raw seed without the growth check of :func:`serre_seed`.
+    """
+    total = QSeries.zero(prec)
+    for r, c in enumerate(_serre_coeffs(l, m)):
+        c = c * Rat(n_index) ** r
         if c != 0:
-            terms[r] = [(c, None)]
-    if not terms:  # N = 0 with every slot annihilated cannot happen, but stay total
-        terms[0] = [(Rat(0), None)]
-    return E2Poly.from_terms(l, terms, prec, display=f"serre seed theta^[{m}] q^{n_index} wt {l}")
+            total = total + _e2_power(m - r, prec).scale(c)
+    return total
 
 
-def serre_seed_poly(l: int, n_index: int, m: int, prec: int = 64) -> E2Poly:
-    """The E2-polynomial behind :func:`serre_seed` (before the q^N shift).
+def serre_seed(l: int, n_index: int, m: int, prec: int = 64) -> QSeries:
+    """Seed series q^N sum_r C(m,r) (l+r)_(m-r) (-E2/12)^{m-r} N^r.
 
-    Requires l >= 2m+2, the growth hypothesis of the underlying averaging.
+    Averaging it in weight l+2m reproduces the order-m Serre derivative of
+    the exponential Poincare series; requires l >= 2m+2, the growth
+    hypothesis of the underlying averaging.
     """
     if l % 2 or l < 2:
         raise SeedConditionError(f"Serre seed needs positive even l, got l={l}")
@@ -234,16 +175,7 @@ def serre_seed_poly(l: int, n_index: int, m: int, prec: int = 64) -> E2Poly:
         raise SeedConditionError(f"Serre seed needs l >= 2m+2, got l={l}, m={m}")
     if n_index < 0 or m < 0:
         raise ValueError("index and order must be >= 0")
-    return _serre_seed_poly(l, n_index, m, prec)
-
-
-def serre_seed(l: int, n_index: int, m: int, prec: int = 64) -> QSeries:
-    """Seed series q^N sum_r C(m,r) (l+m-r)_(r) (-E2/12)^r N^{m-r}.
-
-    Averaging it in weight l+2m reproduces the order-m Serre derivative of
-    the exponential Poincare series; requires l >= 2m+2.
-    """
-    return serre_seed_poly(l, n_index, m, prec).evaluate().shift(n_index)
+    return _serre_seed_series(l, n_index, m, prec).shift(n_index)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ from . import _kernels
 from .arith import ONE, ZERO, InconsistentSystem, Rat, as_rat, bernoulli, rat_str, solve_exact
 from .qseries import QSeries, check_prec, delta_series
 
+#: Bound on every cache keyed by precision (here and in ``calculus``); the
+#: least recently used entry is dropped once a cache holds this many.
+CACHE_MAXSIZE = 64
+
 
 def sigma(a: int, n: int) -> int:
     """Divisor power sum over d | n."""
@@ -122,7 +126,7 @@ class Form:
         return Form(self.weight + 2 * j, self.series.derive(j), is_cusp=False, quasimodular=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def eisenstein(k: int, prec: int) -> Form:
     """Normalized weight-k Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
     if k % 2 or k < 4:
@@ -132,20 +136,20 @@ def eisenstein(k: int, prec: int) -> Form:
     return Form(k, QSeries([ONE] + [c * sigma(k - 1, n) for n in range(1, prec)]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def e2(prec: int) -> Form:
     """The quasimodular series of weight 2: 1 - 24 sum sigma_1(n) q^n."""
     check_prec(prec)
     return Form(2, QSeries([ONE] + [Rat(-24 * sigma(1, n)) for n in range(1, prec)]), quasimodular=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def one(prec: int) -> Form:
     """The constant 1 as the weight-0 form."""
     return Form(0, QSeries.one(prec))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def delta(prec: int) -> Form:
     """The discriminant cusp form of weight 12."""
     return Form(12, delta_series(prec), is_cusp=True)
@@ -222,7 +226,7 @@ def dim_sk(k: int) -> int:
     return dim_mk(k) - 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def mk_basis(k: int, prec: int) -> tuple[Form, ...]:
     """All monomials E4^a E6^b of weight k, a descending."""
     if k % 2 or k < 4:
@@ -245,9 +249,6 @@ class BasisCoords:
             if (aa, bb) == (a, b):
                 return c
         return ZERO
-
-    def as_dict(self) -> dict:
-        return {ab: c for ab, c in self.coords}
 
     def reconstruct(self, prec: int) -> Form:
         total = None
@@ -300,7 +301,7 @@ def in_basis(f: Form) -> BasisCoords:
     return BasisCoords(f.weight, tuple(zip(exponents, sol)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_MAXSIZE)
 def _e12_delta_matrix(prec: int) -> tuple[BasisCoords, BasisCoords]:
     return in_basis(eisenstein(12, prec)), in_basis(delta(prec))
 

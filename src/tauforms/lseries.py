@@ -44,8 +44,6 @@ TIERS: dict[int, tuple[int, float]] = {
 #: Petersson norm-square of the weight-12 cusp form, reference value.
 PETERSSON_REF = "1.03536205680e-6"
 
-_ALLOWED_PAIRS = {(1, 11), (3, 11), (1, 10), (3, 10), (1, 9), (1, 8)}
-
 # Closed-form constants of the six m = 0 values: sum tau(n) sigma_a(n) / n^s
 # equals constant * pi^11 * <Delta, Delta>.
 M0_CONSTANTS: dict[tuple[int, int], Rat] = {
@@ -80,7 +78,7 @@ class LQuery:
     n_weight: bool = False  # auxiliary n-weighted sigma_3 series at s = 11
 
     def __post_init__(self):
-        if (self.a, self.s) not in _ALLOWED_PAIRS:
+        if (self.a, self.s) not in M0_CONSTANTS:
             raise ValueError(f"(a, s) = ({self.a}, {self.s}) is outside the catalog")
         if self.n_weight and (self.a, self.s) != (3, 11):
             raise ValueError("the n-weighted auxiliary series exists only for (a, s) = (3, 11)")

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .arith import ZERO, Rat, as_rat, rat_str, solve_exact
-from .calculus import E2Poly, _rc_seed_series, _serre_seed_poly, rc_seed, serre_seed
+from .calculus import _rc_seed_series, _serre_seed_series, rc_seed, serre_seed
 from .forms import Form, dim_sk, e2, eisenstein, sigma
 from .qseries import QSeries
 
@@ -225,22 +225,20 @@ def relation_serre2_p8(m: int, cutoff: int) -> TauRelation:
     return reduce_weight12(p, m_shift=m)
 
 
-def ex12_seed_poly(m: int, prec: int) -> E2Poly:
-    """Seed polynomial of theta^[3] P_{6,m} + 7/36 P_{6,m} E6.
+def ex12_seed(m: int, prec: int) -> QSeries:
+    """Seed (before the q^m shift) of theta^[3] P_{6,m} + 7/36 P_{6,m} E6.
 
     Neither summand alone satisfies the growth bound (their seeds contain
     E2^3 and E6), but in the sum those pieces combine to E2^3 - E6 =
     9 D E4 + 72 D^2 E2, which does.  The raw order-3 seed on weight 6 is
     therefore built without its single-seed growth check.
     """
-    poly = _serre_seed_poly(6, m, 3, prec)
-    corr = E2Poly.from_terms(6, {0: [(Rat(7, 36), eisenstein(6, prec))]}, prec, display="7/36 E6")
-    return poly + corr
+    return _serre_seed_series(6, m, 3, prec) + eisenstein(6, prec).series.scale(Rat(7, 36))
 
 
 def relation_serre3_p6(m: int, cutoff: int) -> TauRelation:
     """theta^[3] P_{6,m} + 7/36 P_{6,m} E6 = 0."""
-    seed = ex12_seed_poly(m, _seed_prec(m, cutoff) - m).evaluate().shift(m)
+    seed = ex12_seed(m, _seed_prec(m, cutoff) - m).shift(m)
     p = FormalPoincare(12, seed, origin=f"serre_derivative(P_(6,{m}), order 3) + 7/36 E6 * P_(6,{m})")
     return reduce_weight12(p, m_shift=m)
 
@@ -255,7 +253,7 @@ def fourth_order_seed(m: int, prec: int) -> QSeries:
     m^4 - 7/3 m^3 E2 + 21 m^2 D E2 - 35 m D^2 E2 + 35/3 D^3 E2, whose
     coefficients are O(n^4) and hence admissible in weight 12.
     """
-    s4 = _serre_seed_poly(4, m, 4, prec).evaluate(prec)
+    s4 = _serre_seed_series(4, m, 4, prec)
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
     e8 = eisenstein(8, prec)

@@ -71,11 +71,6 @@ class QSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def matches(self, other: "QSeries") -> bool:
-        """Coefficientwise equality on the common known window."""
-        n = min(self.prec, other.prec)
-        return self.coeffs[:n] == other.coeffs[:n]
-
     # -- ring operations (result precision = min of operands) ----------------
 
     def __add__(self, other: "QSeries") -> "QSeries":

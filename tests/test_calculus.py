@@ -10,9 +10,8 @@ from tauforms.calculus import (
     serre,
     serre_recursive,
     serre_seed,
-    serre_seed_poly,
 )
-from tauforms.forms import delta, e2, eisenstein, in_basis
+from tauforms.forms import CACHE_MAXSIZE, Form, delta, e2, eisenstein, in_basis
 from tauforms.qseries import QSeries
 
 PREC = 100
@@ -168,14 +167,39 @@ def test_serre_seed_first_order_closed_form():
 
 
 def test_serre_seed_structures():
-    poly = serre_seed_poly(10, 4, 1, prec=16)
-    assert poly.slot(0) == QSeries.constant(4, 16)
-    assert poly.slot(1) == QSeries.constant(Rat(-5, 6), 16)
+    E2s = e2(16).series
+    want = QSeries.constant(4, 16) + E2s.scale(Rat(-5, 6))
+    assert serre_seed(10, 4, 1, prec=16) == want.shift(4)
 
-    poly = serre_seed_poly(8, 3, 2, prec=16)
-    assert poly.slot(0) == QSeries.constant(9, 16)
-    assert poly.slot(1) == QSeries.constant(Rat(-3, 2) * 3, 16)
-    assert poly.slot(2) == QSeries.constant(Rat(1, 2), 16)
+    want = QSeries.constant(9, 16) + E2s.scale(Rat(-3, 2) * 3) + (E2s * E2s).scale(Rat(1, 2))
+    assert serre_seed(8, 3, 2, prec=16) == want.shift(3)
+
+
+def _agree(a, b):
+    """Equality on the common known window."""
+    n = min(a.prec, b.prec)
+    return a.truncate(n) == b.truncate(n)
+
+
+def _q_power(n_index, prec):
+    return QSeries.one(prec).shift(n_index).truncate(prec)
+
+
+def test_seeds_match_the_operators_on_q_power():
+    # A seed is its operator applied to q^N, so it must agree with the
+    # operator run on the pseudo-form q^N of the seed's weight.
+    prec = 30
+    for l in range(4, 13, 2):
+        for n_index in (0, 1, 3):
+            g = Form(l, _q_power(n_index, prec))
+            for m in range((l - 2) // 2 + 1):
+                assert _agree(serre_seed(l, n_index, m, prec), serre_recursive(g, m).series), (l, n_index, m)
+    for f in (E(4, prec), E(6, prec), delta(prec)):
+        for l in (8, 10, 12):
+            for n_index in (0, 1, 3):
+                g = Form(l, _q_power(n_index, prec))
+                for m in range(3):
+                    assert _agree(rc_seed(f, l, n_index, m), rankin_cohen(f, g, m).series), (f.weight, l, n_index, m)
 
 
 def test_serre_seed_trivial_cases():
@@ -201,3 +225,31 @@ def test_e2_cubed_relation():
     lhs = e2(prec).series ** 3 - eisenstein(6, prec).series
     rhs = eisenstein(4, prec).series.derive(1).scale(9) + e2(prec).series.derive(2).scale(72)
     assert lhs == rhs
+
+
+def test_precision_caches_are_bounded():
+    from tauforms import calculus, forms
+
+    calls = [
+        (forms.eisenstein, lambda p: (4, p)),
+        (forms.e2, lambda p: (p,)),
+        (forms.one, lambda p: (p,)),
+        (forms.delta, lambda p: (p,)),
+        (forms.mk_basis, lambda p: (8, p)),
+        (forms._e12_delta_matrix, lambda p: (p,)),
+        (calculus._e2_power, lambda p: (2, p)),
+    ]
+    for prec in range(10, 110):
+        for cached, args in calls:
+            cached(*args(prec))
+    for cached, _ in calls:
+        info = cached.cache_info()
+        assert info.maxsize == CACHE_MAXSIZE and info.currsize <= CACHE_MAXSIZE, cached.__name__
+
+
+def test_public_names_resolve_once():
+    import tauforms
+
+    assert len(tauforms.__all__) == len(set(tauforms.__all__))
+    for name in tauforms.__all__:
+        assert getattr(tauforms, name) is not None, name

@@ -14,7 +14,7 @@ from tauforms.poincare import (
     derive_identity,
     eval_low_weight,
     eval_modular_seed,
-    ex12_seed_poly,
+    ex12_seed,
     fourth_order_seed,
     fourth_order_seed_closed_form,
     identity_catalog,
@@ -168,16 +168,20 @@ def test_relation_serre3_p6_stream():
             assert rel.coeff(n) == expected
 
 
-def test_ex12_seed_poly_structure():
-    # q^m (m^3 - 2 m^2 E2 + 7/6 m E2^2 - 7/36 (E2^3 - E6))
+def test_ex12_seed_structure():
+    # m^3 + 7/36 E6 - 2 m^2 E2 + 7/6 m E2^2 - 7/36 E2^3
     m = 2
     prec = 20
-    poly = ex12_seed_poly(m, prec)
     e6 = eisenstein(6, prec).series
-    assert poly.slot(0) == QSeries.constant(m**3, prec) + e6.scale(Rat(7, 36))
-    assert poly.slot(1) == QSeries.constant(-2 * m**2, prec)
-    assert poly.slot(2) == QSeries.constant(Rat(7, 6) * m, prec)
-    assert poly.slot(3) == QSeries.constant(Rat(-7, 36), prec)
+    E2s = e2(prec).series
+    want = (
+        QSeries.constant(m**3, prec)
+        + e6.scale(Rat(7, 36))
+        + E2s.scale(-2 * m**2)
+        + (E2s * E2s).scale(Rat(7, 6) * m)
+        + (E2s * E2s * E2s).scale(Rat(-7, 36))
+    )
+    assert ex12_seed(m, prec) == want
 
 
 def test_fourth_order_seed_matches_closed_form():
