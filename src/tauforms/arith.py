@@ -1,10 +1,7 @@
 """Exact number substrate: rationals, Bernoulli numbers, combinatorics, big floats.
 
-``Rat`` is ``gmpy2.mpq`` when gmpy2 is installed (about an order of
-magnitude faster) and ``fractions.Fraction`` otherwise.  Both store values
-in lowest terms with positive denominator and share the API used here
-(two-argument constructor, ``numerator``/``denominator``, exact
-arithmetic, ``**``).
+``Rat`` is ``fractions.Fraction``: values in lowest terms with a positive
+denominator.
 
 Big floats are mpmath values at an explicit binary precision; they appear
 only in the L-series layer.
@@ -19,13 +16,7 @@ from math import comb
 from mpmath import mp
 from mpmath.libmp import from_rational
 
-try:  # pragma: no cover
-    from gmpy2 import mpq as Rat
-
-    _RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover
-    Rat = Fraction
-    _RAT_BACKEND = "fractions"
+Rat = Fraction
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -39,8 +30,6 @@ def as_rat(x) -> Rat:
         return x
     if isinstance(x, (int, str)):
         return Rat(x)
-    if isinstance(x, Fraction):
-        return Rat(x.numerator, x.denominator)
     if hasattr(x, "numerator") and hasattr(x, "denominator"):
         return Rat(int(x.numerator), int(x.denominator))
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")

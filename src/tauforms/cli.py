@@ -14,7 +14,7 @@ Exit status: 0 when everything printed PASS, 1 on any FAIL, 2 on usage
 errors, which print one line to stderr: an argument out of range, a table
 beyond the kernel's limit, or a ``TAUFORMS_PREC_BITS`` that is not an
 integer >= 16.  ``TAUFORMS_PREC_BITS`` overrides the default 256-bit float
-precision; ``TAUFORMS_JIT=0`` disables the jitted kernels.
+precision.
 """
 
 from __future__ import annotations

@@ -153,9 +153,9 @@ class QSeries:
 
 def _integer_vector(coeffs) -> tuple[list[int], int]:
     """Integers v and a denominator d with coeffs[i] == v[i] / d, d the lcm of the denominators."""
-    dens = [int(c.denominator) for c in coeffs]
+    dens = [c.denominator for c in coeffs]
     d = lcm(*dens)
-    return [int(c.numerator) * (d // e) for c, e in zip(coeffs, dens)], d
+    return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
 
 
 def _pack(vec: list[int], slot_bytes: int) -> int:
@@ -193,7 +193,7 @@ def delta_series(prec: int) -> QSeries:
     """q-expansion of the discriminant q prod(1-q^n)^24.
 
     The eta product is taken to the 8th power of Jacobi's cube
-    sum (-1)^k (2k+1) q^{k(k+1)/2}, computed modulo four 31-bit primes and
+    sum (-1)^k (2k+1) q^{k(k+1)/2}, computed modulo three 40-bit primes and
     recombined, so the integer coefficients (Ramanujan tau) are exact.
     """
     if prec < 2:

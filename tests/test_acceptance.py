@@ -225,6 +225,7 @@ def test_criterion_09_identities(entry):
     worst_m = 0
     worst_ratio = 0.0  # rel err / max(tol, R(m)); the assertion needs <= 1
     resolved = 0  # m with resolution R(m) < 1
+    tau_table(20 + cutoff)  # size the table for the whole sweep, as cmd_verify_tau does
     for m in range(1, 21):
         rep = tf.verify_identity(entry, m)
         rel = float(rep.rel_err)
