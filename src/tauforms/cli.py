@@ -11,8 +11,9 @@ Subcommands:
 * ``selftest``                        the exact identity suite
 
 Exit status: 0 when everything printed PASS, 1 on any FAIL, 2 on usage
-errors, which print one line to stderr: an argument out of range, a table
-beyond the kernel's limit, or a ``TAUFORMS_PREC_BITS`` that is not an
+errors.  Every usage error prints one ``error:`` line to stderr: an
+expression that does not parse or type-check, an argument out of range, a
+table beyond the kernel's limit, or a ``TAUFORMS_PREC_BITS`` that is not an
 integer >= 16.  ``TAUFORMS_PREC_BITS`` overrides the default 256-bit float
 precision.
 """
@@ -29,10 +30,11 @@ from mpmath import mp
 
 from . import expr as expr_mod
 from . import lseries
+from ._kernels import _MAX_PREC
 from .arith import DEFAULT_PREC_BITS, mpf_str, rat_str
 from .calculus import ramanujan_derivatives
-from .forms import NotModularError, in_basis, tau, tau_table
-from .poincare import catalog_identity, identity_catalog
+from .forms import NotModularError, in_basis, tau_table
+from .poincare import identity_catalog
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -54,30 +56,18 @@ def _prec_bits(args) -> int:
         try:
             bits = int(env)
         except ValueError:
-            _usage_error(f"{source} must be an integer, got {env!r}")
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
     else:
         return DEFAULT_PREC_BITS
     if bits < 16:
-        _usage_error(f"{source} must be at least 16, got {bits}")
+        raise ValueError(f"{source} must be at least 16, got {bits}")
     return bits
 
 
-def _parse_expr(text: str):
-    try:
-        return expr_mod.parse(text)
-    except expr_mod.ExprError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def cmd_expand(args) -> int:
-    node = _parse_expr(args.expr)
-    try:
-        info = expr_mod.annotate(node)
-        form = expr_mod.evaluate(node, args.prec)
-    except (expr_mod.ExprError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    node = expr_mod.parse(args.expr)
+    info = expr_mod.annotate(node)
+    form = expr_mod.evaluate(node, args.prec)
     if args.json:
         payload = json.loads(form.series.to_json())
         payload["weight"] = form.weight
@@ -91,16 +81,12 @@ def cmd_expand(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    node = _parse_expr(args.expr)
+    form = expr_mod.evaluate(expr_mod.parse(args.expr), args.prec)
     try:
-        form = expr_mod.evaluate(node, args.prec)
         coords = in_basis(form)
     except NotModularError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (expr_mod.ExprError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if args.json:
         print(coords.to_json())
     else:
@@ -119,21 +105,10 @@ def _write_csv(path: str, rows: list[dict]) -> None:
 
 def cmd_verify_tau(args) -> int:
     prec = _prec_bits(args)
-    if args.m_from < 1 or args.m_to < args.m_from:
-        print("error: need 1 <= m-from <= m-to", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        # one tau table for the whole sweep, sized for its last m
-        tier_cutoff = lseries.TIERS[catalog_identity(args.id).s][0]
-        tau_table(args.m_to + (tier_cutoff if args.cutoff is None else args.cutoff))
-        reports = [
-            lseries.verify_identity(args.id, m, tol=args.tol, cutoff=args.cutoff, prec_bits=prec)
-            for m in range(args.m_from, args.m_to + 1)
-        ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    reports.sort(key=lambda r: r.m)
+    if not 1 <= args.m_from <= args.m_to <= _MAX_PREC:
+        raise ValueError(f"need 1 <= m-from <= m-to <= {_MAX_PREC}")
+    ms = range(args.m_from, args.m_to + 1)
+    reports = lseries.verify_sweep(args.id, ms, tol=args.tol, cutoff=args.cutoff, prec_bits=prec)
     rows = [r.row() for r in reports]
     if args.csv:
         _write_csv(args.csv, rows)
@@ -153,20 +128,15 @@ def cmd_lvalues(args) -> int:
     prec = _prec_bits(args)
     rows = []
     ok = True
-    for (a, s) in lseries.M0_CONSTANTS:
-        try:
-            val = lseries.lvalue_m0(a, s, cutoff=args.cutoff, prec_bits=prec)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for val in lseries.lvalues_m0(cutoff=args.cutoff, prec_bits=prec):
         with mp.workprec(prec):
             diff = abs(val.numeric - mp.mpf(val.printed))
             match = diff < mp.mpf("5e-4")
         ok = ok and match
         rows.append(
             {
-                "a": a,
-                "s": s,
+                "a": val.a,
+                "s": val.s,
                 "cutoff": val.cutoff,
                 "numeric": mpf_str(val.numeric, 15),
                 "predicted": mpf_str(val.predicted, 15),
@@ -231,14 +201,8 @@ def cmd_petersson(args) -> int:
 
 def cmd_tau(args) -> int:
     if args.n < 1:
-        print("error: tau(n) needs n >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        tau_table(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(tau(args.n))
+        raise ValueError("tau(n) needs n >= 1")
+    print(tau_table(args.n)[args.n])
     return EXIT_PASS
 
 
@@ -332,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        _usage_error(str(exc))
 
 
 if __name__ == "__main__":

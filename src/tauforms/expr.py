@@ -320,6 +320,8 @@ def _annotate_call(node: Call) -> WeightInfo:
                 f"averaging weight {k} too small for a weight-{fw.weight} seed (need k - w >= 4)",
                 node.pos,
             )
+        if (k - fw.weight) % 2:
+            raise ExprError(f"averaging weight {k} minus seed weight {fw.weight} is odd", node.pos)
         return WeightInfo(k, False)
     raise ExprError(f"unknown function {name!r}", node.pos)
 

@@ -13,11 +13,16 @@ integral comparison, safety factor 2) are available for s >= 10; for
 s in {8, 9} the certified bound decays too slowly to be useful and the
 reported tail is the non-rigorous envelope `10 x max |term| over
 T/10 <= n <= T`.
+
+Tables are sized by one rule, in the two sweeps: ``verify_sweep`` builds tau
+once to ``max(ms) + cutoff``, and ``lvalues_m0`` builds tau and each sigma_a
+once to the longest cutoff it needs.  Ad-hoc loops rely on tau's 1.5x regrowth.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 from operator import mul
@@ -284,6 +289,22 @@ def verify_identity(
     )
 
 
+def verify_sweep(
+    ident: str | TauIdentity,
+    ms: Sequence[int],
+    tol: float | None = None,
+    cutoff: int | None = None,
+    prec_bits: int = DEFAULT_PREC_BITS,
+) -> list[IdentityReport]:
+    """``verify_identity`` for each m of ``ms``, in that order, on tables sized once."""
+    entry = catalog_identity(ident) if isinstance(ident, str) else ident
+    cutoff = TIERS[entry.s][0] if cutoff is None else cutoff
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    tau_table(max(ms) + cutoff)
+    return [verify_identity(entry, m, tol, cutoff, prec_bits) for m in ms]
+
+
 # ---------------------------------------------------------------------------
 # m = 0 values and the Petersson norm.
 
@@ -295,7 +316,7 @@ class M0Value:
     cutoff: int
     numeric: object  # sum_{n <= cutoff} tau(n) sigma_a(n) / n^s
     constant: Rat  # exact coefficient of pi^11 <Delta, Delta>
-    predicted: object  # constant * pi^11 * petersson_ref
+    predicted: object  # constant * pi^11 * PETERSSON_REF
     printed: str  # three-decimal reference value
 
 
@@ -307,13 +328,7 @@ def _pi11(prec: int):
         return out
 
 
-def lvalue_m0(
-    a: int,
-    s: int,
-    cutoff: int | None = None,
-    prec_bits: int = DEFAULT_PREC_BITS,
-    petersson_ref: str = PETERSSON_REF,
-) -> M0Value:
+def lvalue_m0(a: int, s: int, cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) -> M0Value:
     """Numeric sum tau(n) sigma_a(n) / n^s against its closed-form prediction."""
     if (a, s) not in M0_CONSTANTS:
         raise ValueError(f"(a, s) = ({a}, {s}) has no m = 0 closed form")
@@ -328,9 +343,23 @@ def lvalue_m0(
             mp.mpf(int(const.numerator))
             / mp.mpf(int(const.denominator))
             * _pi11(prec_bits)
-            * mp.mpf(petersson_ref)
+            * mp.mpf(PETERSSON_REF)
         )
     return M0Value(a, s, cutoff, acc, const, predicted, M0_PRINTED[(a, s)])
+
+
+def lvalues_m0(cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) -> list[M0Value]:
+    """``lvalue_m0`` for each pair of ``M0_CONSTANTS``, in that order, on tables sized once.
+
+    ``cutoff`` applies to all six sums; by default each takes its tier cutoff.
+    """
+    if cutoff is not None and cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    cutoffs = {(a, s): TIERS[s][0] if cutoff is None else cutoff for a, s in M0_CONSTANTS}
+    tau_table(max(cutoffs.values()))
+    for a in sorted({a for a, _ in cutoffs}):
+        _sigma(a, max(T for (b, _), T in cutoffs.items() if b == a))
+    return [lvalue_m0(a, s, T, prec_bits) for (a, s), T in cutoffs.items()]
 
 
 @dataclass(frozen=True)
@@ -349,31 +378,21 @@ class PeterssonReport:
     reference: str
 
 
-def petersson_recover(
-    prec_bits: int = DEFAULT_PREC_BITS, petersson_ref: str = PETERSSON_REF
-) -> PeterssonReport:
+def petersson_recover(prec_bits: int = DEFAULT_PREC_BITS) -> PeterssonReport:
     """Invert each m = 0 closed form into an estimate of <Delta, Delta>."""
-    # Size the shared tables once for the longest sum; the cutoffs grow
-    # through M0_CONSTANTS, so each lvalue_m0 would otherwise rebuild them.
-    longest: dict[int, int] = {}
-    for a, s in M0_CONSTANTS:
-        longest[a] = max(longest.get(a, 0), TIERS[s][0])
-    tau_table(max(longest.values()))
-    for a, cutoff in longest.items():
-        _sigma(a, cutoff)
     ests = []
     with mp.workprec(prec_bits):
-        ref = mp.mpf(petersson_ref)
+        ref = mp.mpf(PETERSSON_REF)
         pi11 = _pi11(prec_bits)
-        for (a, s), const in M0_CONSTANTS.items():
-            val = lvalue_m0(a, s, prec_bits=prec_bits, petersson_ref=petersson_ref)
+        for val in lvalues_m0(prec_bits=prec_bits):
+            const = val.constant
             est = val.numeric / (mp.mpf(int(const.numerator)) / mp.mpf(int(const.denominator)) * pi11)
-            ests.append(PeterssonEstimate(a, s, est, abs(est - ref) / ref))
+            ests.append(PeterssonEstimate(val.a, val.s, est, abs(est - ref) / ref))
         high = [e.estimate for e in ests if e.s >= 10]
         low = [e.estimate for e in ests]
         max_high = max(abs(x - y) / abs(x) for x in high for y in high)
         max_low = max(abs(x - y) / abs(x) for x in low for y in low)
-    return PeterssonReport(tuple(ests), max_high, max_low, petersson_ref)
+    return PeterssonReport(tuple(ests), max_high, max_low, PETERSSON_REF)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tauforms import _kernels, expr, forms
+from tauforms import _kernels, expr, lseries
 from tauforms.arith import Rat
 from tauforms.cli import main
 from tauforms.forms import delta, eisenstein
@@ -84,6 +86,8 @@ def test_quasimodular_rejection_in_rc_and_serre():
 def test_ppoly_weight_gap():
     with pytest.raises(expr.ExprError, match="too small"):
         expr.annotate(expr.parse("Ppoly(12, Delta)"))
+    with pytest.raises(expr.ExprError, match=r"is odd \(at column 1\)"):
+        expr.annotate(expr.parse("Ppoly(13, E4)"))
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -218,13 +222,15 @@ def test_cli_lvalues_small_cutoff(capsys):
 
 
 
-def test_cli_verify_tau_builds_the_tau_table_once(capsys, monkeypatch):
-    built = []
-    real = _kernels.tau_numbers
-    monkeypatch.setattr(forms, "_tau_cache", forms._TauCache())
-    monkeypatch.setattr(_kernels, "tau_numbers", lambda nmax: built.append(nmax) or real(nmax))
+def test_cli_verify_tau_builds_the_tau_table_once(capsys, fresh_tables):
     main(["verify-tau", "--id", "kumar", "--m-from", "1", "--m-to", "3", "--cutoff", "2000"])
-    assert built == [2003]
+    assert [n for kind, n in fresh_tables if kind == "tau"] == [2003]
+
+
+def test_cli_lvalues_builds_each_table_once(capsys, fresh_tables, monkeypatch):
+    monkeypatch.setattr(lseries, "TIERS", {11: (100, 0.0), 10: (1000, 0.0), 9: (1000, 0.0), 8: (3000, 0.0)})
+    main(["lvalues"])
+    assert len(fresh_tables) == 3 and set(fresh_tables) == {("tau", 3000), (1, 3000), (3, 1000)}
 
 
 @pytest.mark.parametrize(
@@ -246,6 +252,9 @@ def test_cli_verify_tau_builds_the_tau_table_once(capsys, monkeypatch):
         pytest.param(["expand", "E4", "--prec", "0"], None, id="expand-prec-0"),
         pytest.param(["expand", "2/3", "--prec", "0"], None, id="expand-constant-prec-0"),
         pytest.param(["basis", "E4", "--prec", "-3"], None, id="basis-prec-negative"),
+        pytest.param(["expand", "E4 +"], None, id="expand-parse-error"),
+        pytest.param(["tau", "0"], None, id="tau-0"),
+        pytest.param(["verify-tau", "--id", "kumar", "--m-from", "3", "--m-to", "2"], None, id="verify-m-to-below-m-from"),
     ],
 )
 def test_cli_input_contract_exits_2_with_one_line(argv, prec_env, capsys, monkeypatch):
@@ -261,3 +270,37 @@ def test_cli_input_contract_exits_2_with_one_line(argv, prec_env, capsys, monkey
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# Out of range: <= 0, or a table beyond the kernel's limit, so no draw builds a table.
+_NOT_POSITIVE = st.integers(-(10**12), 0)
+_OUT_OF_RANGE = _NOT_POSITIVE | st.integers(_kernels._MAX_PREC + 1, 10**12)
+
+
+def _verify_tau(m_from, m_to, *extra):
+    return ["verify-tau", "--id", "kumar", "--m-from", str(m_from), "--m-to", str(m_to), *extra]
+
+
+_OUT_OF_RANGE_ARGV = st.one_of(
+    _OUT_OF_RANGE.map(lambda n: ["tau", str(n)]),
+    _OUT_OF_RANGE.map(lambda n: ["lvalues", "--cutoff", str(n)]),
+    _OUT_OF_RANGE.map(lambda n: _verify_tau(n, n)),
+    _OUT_OF_RANGE.map(lambda n: _verify_tau(1, n)),
+    _OUT_OF_RANGE.map(lambda n: _verify_tau(n, 1)),
+    _OUT_OF_RANGE.map(lambda n: _verify_tau(1, 1, "--cutoff", str(n))),
+    st.tuples(st.sampled_from(["expand", "basis"]), _NOT_POSITIVE).map(lambda c: [c[0], "E4", "--prec", str(c[1])]),
+)
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(argv=_OUT_OF_RANGE_ARGV)
+def test_cli_out_of_range_integers_exit_2_with_one_line(argv, capsys, monkeypatch, fresh_tables):
+    monkeypatch.delenv("TAUFORMS_PREC_BITS", raising=False)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert fresh_tables == []

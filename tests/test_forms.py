@@ -92,8 +92,7 @@ def test_tau_table_and_multiplicativity():
     assert tau(4) == tau(2) ** 2 - 2**11
 
 
-def test_tau_too_short_errors(monkeypatch):
-    monkeypatch.setattr(forms_mod, "_tau_cache", forms_mod._TauCache())
+def test_tau_too_short_errors(fresh_tables):
     with pytest.raises(ValueError, match="tau table too short"):
         forms_mod.tau(5)
     forms_mod.tau_table(5)

@@ -1,7 +1,7 @@
 import pytest
 from mpmath import mp
 
-from tauforms import _kernels, forms, lseries
+from tauforms import lseries
 from tauforms.arith import Rat, rat_str
 from tauforms.forms import sigma, tau_table
 from tauforms.lseries import (
@@ -17,6 +17,7 @@ from tauforms.lseries import (
     petersson_recover,
     shifted_L,
     verify_identity,
+    verify_sweep,
 )
 
 EXPECTED_DECOMPOSITIONS = {
@@ -176,29 +177,26 @@ def test_err_round_bounds_the_fixed_point_sum(a, s, n_weight):
     assert 0 < res.err_round < mp.ldexp(1, -prec)
 
 
-def test_tau_table_regrows_geometrically(monkeypatch):
-    built = []
-    real = _kernels.tau_numbers
-    monkeypatch.setattr(forms, "_tau_cache", forms._TauCache())
-    monkeypatch.setattr(lseries, "_weight_tables", {})
-    monkeypatch.setattr(_kernels, "tau_numbers", lambda nmax: built.append(nmax) or real(nmax))
+def test_tau_table_regrows_geometrically(fresh_tables):
     for m in range(1, 21):
         verify_identity("kumar", m, cutoff=2000)
+    built = [n for kind, n in fresh_tables if kind == "tau"]
     assert built[0] == 2001  # the first build is exact
     assert len(built) <= 2
 
 
-def test_petersson_recover_builds_each_table_once(monkeypatch):
-    built = []
-    real_tau, real_sigma = _kernels.tau_numbers, _kernels.sigma_range
+def test_verify_sweep_matches_verify_identity(fresh_tables):
+    ms = [3, 1, 2]
+    reports = verify_sweep("kumar", ms, cutoff=2000)
+    assert [n for kind, n in fresh_tables if kind == "tau"] == [2003]
+    assert [r.m for r in reports] == ms
+    assert reports == [verify_identity("kumar", m, cutoff=2000) for m in ms]
+
+
+def test_petersson_recover_builds_each_table_once(fresh_tables, monkeypatch):
     monkeypatch.setattr(lseries, "TIERS", {11: (100, 0.0), 10: (1000, 0.0), 9: (1000, 0.0), 8: (3000, 0.0)})
-    monkeypatch.setattr(forms, "_tau_cache", forms._TauCache())
-    monkeypatch.setattr(lseries, "_sigma_tables", {})
-    monkeypatch.setattr(lseries, "_weight_tables", {})
-    monkeypatch.setattr(_kernels, "tau_numbers", lambda nmax: built.append(("tau", nmax)) or real_tau(nmax))
-    monkeypatch.setattr(_kernels, "sigma_range", lambda a, nmax: built.append((a, nmax)) or real_sigma(a, nmax))
     petersson_recover()
-    assert len(built) == 3 and set(built) == {("tau", 3000), (1, 3000), (3, 1000)}
+    assert len(fresh_tables) == 3 and set(fresh_tables) == {("tau", 3000), (1, 3000), (3, 1000)}
 
 
 def test_tau_table_long_enough_after_query():
