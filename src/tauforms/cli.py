@@ -13,9 +13,10 @@ Subcommands:
 Exit status: 0 when everything printed PASS, 1 on any FAIL, 2 on usage
 errors.  Every usage error prints one ``error:`` line to stderr: an
 expression that does not parse or type-check, an argument out of range, a
-table beyond the kernel's limit, or a ``TAUFORMS_PREC_BITS`` that is not an
-integer >= 16.  ``TAUFORMS_PREC_BITS`` overrides the default 256-bit float
-precision.
+table beyond the kernel's limit, a ``--tol`` that is not positive and finite,
+a ``--csv`` path that cannot be written, or a ``TAUFORMS_PREC_BITS`` that is
+not an integer >= 16.  ``TAUFORMS_PREC_BITS`` overrides the default 256-bit
+float precision.
 """
 
 from __future__ import annotations
@@ -163,6 +164,7 @@ def cmd_petersson(args) -> int:
     prec = _prec_bits(args)
     report = lseries.petersson_recover(prec_bits=prec)
     ok = True
+    lines = []
     with mp.workprec(prec):
         for est in report.estimates:
             tol = mp.mpf("1e-6") if est.s >= 10 else mp.mpf("1e-3")
@@ -170,13 +172,13 @@ def cmd_petersson(args) -> int:
             if est.s == 11:
                 good = est.rel_dev_from_ref < mp.mpf("1e-9")
             ok = ok and good
-            print(
+            lines.append(
                 f"(a={est.a}, s={est.s}): <Delta,Delta> = {mpf_str(est.estimate, 13)}  "
                 f"rel dev from reference {mpf_str(est.rel_dev_from_ref, 4)}  "
                 f"{'PASS' if good else 'FAIL'}"
             )
-        print(f"max pairwise deviation (s >= 10 entries): {mpf_str(report.max_pairwise_high, 4)}")
-        print(f"max pairwise deviation (all entries):     {mpf_str(report.max_pairwise_low, 4)}")
+        lines.append(f"max pairwise deviation (s >= 10 entries): {mpf_str(report.max_pairwise_high, 4)}")
+        lines.append(f"max pairwise deviation (all entries):     {mpf_str(report.max_pairwise_low, 4)}")
         if not report.max_pairwise_high < mp.mpf("1e-6"):
             ok = False
     if args.json:
@@ -196,6 +198,8 @@ def cmd_petersson(args) -> int:
                 }
             )
         )
+    else:
+        print("\n".join(lines))
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -298,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _usage_error(str(exc))
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from . import _kernels
 from .arith import ONE, ZERO, InconsistentSystem, Rat, as_rat, bernoulli, rat_str, solve_exact
-from .qseries import QSeries, check_prec, delta_series
+from .qseries import QSeries, check_prec
 
 #: Bound on every cache keyed by precision (here and in ``calculus``); the
 #: least recently used entry is dropped once a cache holds this many.
@@ -149,6 +149,14 @@ def one(prec: int) -> Form:
     return Form(0, QSeries.one(prec))
 
 
+def delta_series(prec: int) -> QSeries:
+    """q-expansion of the discriminant q prod(1-q^n)^24, read from the shared tau table."""
+    if prec < 2:
+        raise ValueError("delta needs precision >= 2 to see its leading term")
+    check_prec(prec)
+    return QSeries([ZERO] + [Rat(t) for t in tau_table(prec - 1)[1:prec]])
+
+
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def delta(prec: int) -> Form:
     """The discriminant cusp form of weight 12."""
@@ -156,52 +164,46 @@ def delta(prec: int) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# Shared Ramanujan tau table.
+# Shared integer tables: tau under the key "tau", sigma_a under ("sigma", a).
+# ``_table`` holds the one growth rule.  The lock is reentrant because the
+# weight tables in ``lseries`` hold it while they read ``tau_table``.
+
+_tables_lock = threading.RLock()
+_tables: dict[object, list[int]] = {}
 
 
-class _TauCache:
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._table: list[int] = [0]
+def _table(key, nmax: int, build) -> list[int]:
+    """The table ``key`` up to at least index nmax, from ``build(n)`` when too short.
 
-    def ensure(self, nmax: int) -> list[int]:
-        """The table up to at least tau(nmax).
-
-        The first build is exact; a regrowth takes at least 1.5x the old
-        length (within the kernel's limit), so a sweep over growing nmax
-        builds O(log) tables rather than one per step.
-        """
-        if len(self._table) <= nmax:
-            with self._lock:
-                have = len(self._table)
-                if have <= nmax:
-                    if have > 1:
-                        nmax = max(nmax, min(have * 3 // 2, _kernels._MAX_PREC))
-                    self._table = _kernels.tau_numbers(nmax)
-        return self._table
-
-    def value(self, n: int) -> int:
-        if n < 1:
-            raise ValueError("tau(n) needs n >= 1")
-        if n >= len(self._table):
-            raise ValueError(
-                f"tau table too short: have {len(self._table) - 1} entries, "
-                f"need at least {n}; call tau_table({n}) first"
-            )
-        return self._table[n]
-
-
-_tau_cache = _TauCache()
+    The first build is exact; a rebuild takes at least 1.5x the old length
+    (within the kernel's limit), so a loop over growing nmax builds O(log)
+    tables rather than one per step.
+    """
+    with _tables_lock:
+        table = _tables.get(key, [])
+        if len(table) <= nmax:
+            if table:
+                nmax = max(nmax, min(len(table) * 3 // 2, _kernels._MAX_PREC))
+            table = _tables[key] = build(nmax)
+        return table
 
 
 def tau_table(nmax: int) -> list[int]:
     """Prepare (and return) the shared tau table up to tau(nmax)."""
-    return _tau_cache.ensure(nmax)
+    return _table("tau", nmax, _kernels.tau_numbers)
 
 
 def tau(n: int) -> int:
     """tau(n) from the prepared table; errors if the table is too short."""
-    return _tau_cache.value(n)
+    if n < 1:
+        raise ValueError("tau(n) needs n >= 1")
+    table = _tables.get("tau", [0])
+    if n >= len(table):
+        raise ValueError(
+            f"tau table too short: have {len(table) - 1} entries, "
+            f"need at least {n}; call tau_table({n}) first"
+        )
+    return table[n]
 
 
 # ---------------------------------------------------------------------------

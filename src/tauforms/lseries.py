@@ -14,14 +14,16 @@ s in {8, 9} the certified bound decays too slowly to be useful and the
 reported tail is the non-rigorous envelope `10 x max |term| over
 T/10 <= n <= T`.
 
-Tables are sized by one rule, in the two sweeps: ``verify_sweep`` builds tau
-once to ``max(ms) + cutoff``, and ``lvalues_m0`` builds tau and each sigma_a
-once to the longest cutoff it needs.  Ad-hoc loops rely on tau's 1.5x regrowth.
+Tau and sigma_a live in one store in ``forms`` with one growth rule: the
+first build is exact and a rebuild takes at least 1.5x the old length.  The
+two sweeps size them up front: ``verify_sweep`` builds tau once to
+``max(ms) + cutoff``, and ``lvalues_m0`` builds tau and each sigma_a once to
+the longest cutoff it needs.  Ad-hoc loops rely on the 1.5x regrowth.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
@@ -31,7 +33,7 @@ from mpmath import mp
 
 from .arith import DEFAULT_PREC_BITS, Rat, solve_exact
 from .calculus import rankin_cohen, serre, serre_seed
-from .forms import Form, e12_delta_coords, eisenstein, tau_table
+from .forms import Form, _table, _tables_lock, e12_delta_coords, eisenstein, tau_table
 from .poincare import TauIdentity, catalog_identity, eval_modular_seed
 from .qseries import QSeries
 from . import _kernels
@@ -105,23 +107,17 @@ class LResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared fixed-point integer tables.  Sigma is kept per divisor power a; the
-# weights W[u] = floor(tau(u) 2^G / u^s) per exponent s, replaced only when
-# the guard precision G changes.  Weight tables grow by appending.
+# Fixed-point weights W[u] = floor(tau(u) 2^G / u^s) per exponent s, replaced
+# only when the guard precision G changes and grown by appending.  They share
+# the lock of the tau and sigma tables in ``forms``.
 
 _GUARD_BITS = 64
-_tables_lock = threading.Lock()
-_sigma_tables: dict[int, list[int]] = {}
 _weight_tables: dict[int, tuple[int, list[int]]] = {}
 
 
 def _sigma(a: int, nmax: int) -> list[int]:
     """sigma_a(n) for n = 0..nmax (at least) as Python ints; entry 0 is 0."""
-    with _tables_lock:
-        cur = _sigma_tables.get(a, [])
-        if len(cur) <= nmax:
-            cur = _sigma_tables[a] = _kernels.sigma_range(a, nmax).tolist()
-        return cur
+    return _table(("sigma", a), nmax, lambda n: _kernels.sigma_range(a, n).tolist())
 
 
 def _weights(s: int, umax: int, guard: int) -> list[int]:
@@ -249,6 +245,18 @@ class IdentityReport:
         }
 
 
+def _tier_args(entry: TauIdentity, tol: float | None, cutoff: int | None) -> tuple[float, int]:
+    """``tol`` and ``cutoff``, the tier's where not given; refuses tol outside (0, inf) and cutoff < 1."""
+    tier_cut, tier_tol = TIERS[entry.s]
+    tol = tier_tol if tol is None else tol
+    cutoff = tier_cut if cutoff is None else cutoff
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    return tol, cutoff
+
+
 def verify_identity(
     ident: str | TauIdentity,
     m: int,
@@ -260,9 +268,7 @@ def verify_identity(
     entry = catalog_identity(ident) if isinstance(ident, str) else ident
     if m < 1:
         raise ValueError("identity index m must be >= 1")
-    tier_cut, tier_tol = TIERS[entry.s]
-    cutoff = tier_cut if cutoff is None else cutoff
-    tol = tier_tol if tol is None else tol
+    tol, cutoff = _tier_args(entry, tol, cutoff)
     res = shifted_L(LQuery(m, entry.a, entry.s, cutoff, prec_bits))
     tau_m = tau_table(m)[m]
     pref = entry.prefactor(m)
@@ -298,9 +304,7 @@ def verify_sweep(
 ) -> list[IdentityReport]:
     """``verify_identity`` for each m of ``ms``, in that order, on tables sized once."""
     entry = catalog_identity(ident) if isinstance(ident, str) else ident
-    cutoff = TIERS[entry.s][0] if cutoff is None else cutoff
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    tol, cutoff = _tier_args(entry, tol, cutoff)
     tau_table(max(ms) + cutoff)
     return [verify_identity(entry, m, tol, cutoff, prec_bits) for m in ms]
 
@@ -486,7 +490,5 @@ def derive_m0_constants(prec: int = 201) -> dict[tuple[int, int], Rat]:
     sol = solve_exact(unknown_cols, rhs)
     # S = sol_j * R; the published constants are against pi^11 <Delta,Delta>:
     # S = const * pi^11 <D,D>  =>  const = sol_j * 4^11 / 10!.
-    import math
-
     scale = Rat(4**11, math.factorial(10))
     return {pair: sol[j] * scale for j, (pair, _, _) in enumerate(_MONOMIALS)}

@@ -10,14 +10,16 @@ from __future__ import annotations
 import json
 from math import lcm
 
+from ._kernels import _MAX_PREC
 from .arith import ONE, ZERO, Rat, as_rat, rat_str
-from . import _kernels
 
 
 def check_prec(prec: int) -> None:
-    """Refuse a precision that would leave no known coefficient."""
+    """Refuse a precision that would leave no known coefficient or exceed the table limit."""
     if prec < 1:
         raise ValueError(f"precision must be at least 1, got {prec}")
+    if prec > _MAX_PREC:
+        raise ValueError(f"precision is limited to {_MAX_PREC}, got {prec}")
 
 
 class QSeries:
@@ -187,16 +189,3 @@ def _kronecker_product(a, b) -> list[Rat]:
     return [
         Rat(int.from_bytes(raw[i : i + slot], "little") - half, den) for i in range(0, slot * n, slot)
     ]
-
-
-def delta_series(prec: int) -> QSeries:
-    """q-expansion of the discriminant q prod(1-q^n)^24.
-
-    The eta product is taken to the 8th power of Jacobi's cube
-    sum (-1)^k (2k+1) q^{k(k+1)/2}, computed modulo three 40-bit primes and
-    recombined, so the integer coefficients (Ramanujan tau) are exact.
-    """
-    if prec < 2:
-        raise ValueError("delta needs precision >= 2 to see its leading term")
-    tau = _kernels.tau_numbers(prec - 1)
-    return QSeries([ZERO] + [Rat(t) for t in tau[1:prec]])

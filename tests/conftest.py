@@ -31,8 +31,7 @@ def fresh_tables(monkeypatch):
         built.append((a, nmax))
         return table
 
-    monkeypatch.setattr(forms, "_tau_cache", forms._TauCache())
-    monkeypatch.setattr(lseries, "_sigma_tables", {})
+    monkeypatch.setattr(forms, "_tables", {})
     monkeypatch.setattr(lseries, "_weight_tables", {})
     monkeypatch.setattr(_kernels, "tau_numbers", tau_numbers)
     monkeypatch.setattr(_kernels, "sigma_range", sigma_range)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -233,6 +234,35 @@ def test_cli_lvalues_builds_each_table_once(capsys, fresh_tables, monkeypatch):
     assert len(fresh_tables) == 3 and set(fresh_tables) == {("tau", 3000), (1, 3000), (3, 1000)}
 
 
+def test_cli_petersson_json_prints_only_json(capsys, monkeypatch):
+    monkeypatch.setattr(lseries, "TIERS", {11: (100, 0.0), 10: (1000, 0.0), 9: (1000, 0.0), 8: (3000, 0.0)})
+    main(["petersson", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reference"] == lseries.PETERSSON_REF
+    assert [(e["a"], e["s"]) for e in payload["estimates"]] == list(lseries.M0_CONSTANTS)
+
+
+def _verify_tau(m_from, m_to, *extra):
+    return ["verify-tau", "--id", "kumar", "--m-from", str(m_from), "--m-to", str(m_to), *extra]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_verify_tau(1, 1, "--cutoff", "100"), id="verify-tau"),
+        pytest.param(["lvalues", "--cutoff", "100"], id="lvalues"),
+    ],
+)
+def test_cli_csv_to_a_missing_directory_exits_2_with_one_line(argv, capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--csv", str(path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     ("argv", "prec_env"),
     [
@@ -252,9 +282,14 @@ def test_cli_lvalues_builds_each_table_once(capsys, fresh_tables, monkeypatch):
         pytest.param(["expand", "E4", "--prec", "0"], None, id="expand-prec-0"),
         pytest.param(["expand", "2/3", "--prec", "0"], None, id="expand-constant-prec-0"),
         pytest.param(["basis", "E4", "--prec", "-3"], None, id="basis-prec-negative"),
+        pytest.param(["expand", "E4", "--prec", "1000000000000"], None, id="expand-prec-beyond-limit"),
         pytest.param(["expand", "E4 +"], None, id="expand-parse-error"),
         pytest.param(["tau", "0"], None, id="tau-0"),
         pytest.param(["verify-tau", "--id", "kumar", "--m-from", "3", "--m-to", "2"], None, id="verify-m-to-below-m-from"),
+        pytest.param(_verify_tau(1, 1, "--cutoff", "100", "--tol", "inf"), None, id="verify-tol-inf"),
+        pytest.param(_verify_tau(1, 1, "--cutoff", "100", "--tol", "nan"), None, id="verify-tol-nan"),
+        pytest.param(_verify_tau(1, 1, "--cutoff", "100", "--tol", "-1"), None, id="verify-tol--1"),
+        pytest.param(_verify_tau(1, 1, "--cutoff", "100", "--tol", "0"), None, id="verify-tol-0"),
     ],
 )
 def test_cli_input_contract_exits_2_with_one_line(argv, prec_env, capsys, monkeypatch):
@@ -275,10 +310,8 @@ def test_cli_input_contract_exits_2_with_one_line(argv, prec_env, capsys, monkey
 # Out of range: <= 0, or a table beyond the kernel's limit, so no draw builds a table.
 _NOT_POSITIVE = st.integers(-(10**12), 0)
 _OUT_OF_RANGE = _NOT_POSITIVE | st.integers(_kernels._MAX_PREC + 1, 10**12)
-
-
-def _verify_tau(m_from, m_to, *extra):
-    return ["verify-tau", "--id", "kumar", "--m-from", str(m_from), "--m-to", str(m_to), *extra]
+# A tolerance must be positive and finite; "--tol=X" keeps "-inf" from reading as an option.
+_BAD_TOL = st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])
 
 
 _OUT_OF_RANGE_ARGV = st.one_of(
@@ -288,7 +321,8 @@ _OUT_OF_RANGE_ARGV = st.one_of(
     _OUT_OF_RANGE.map(lambda n: _verify_tau(1, n)),
     _OUT_OF_RANGE.map(lambda n: _verify_tau(n, 1)),
     _OUT_OF_RANGE.map(lambda n: _verify_tau(1, 1, "--cutoff", str(n))),
-    st.tuples(st.sampled_from(["expand", "basis"]), _NOT_POSITIVE).map(lambda c: [c[0], "E4", "--prec", str(c[1])]),
+    st.tuples(st.sampled_from(["expand", "basis"]), _OUT_OF_RANGE).map(lambda c: [c[0], "E4", "--prec", str(c[1])]),
+    _BAD_TOL.map(lambda t: _verify_tau(1, 1, f"--tol={t}")),
 )
 
 

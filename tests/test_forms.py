@@ -99,6 +99,14 @@ def test_tau_too_short_errors(fresh_tables):
     assert forms_mod.tau(5) == 4830
 
 
+def test_delta_reads_the_shared_tau_table(fresh_tables):
+    table = tau_table(500)
+    delta.cache_clear()
+    d = delta(150)
+    assert fresh_tables == [("tau", 500)]
+    assert list(d.series.coeffs) == table[:150]
+
+
 def test_dimensions():
     assert dim_sk(10) == 0
     assert dim_sk(12) == 1

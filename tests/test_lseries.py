@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from mpmath import mp
 
@@ -183,6 +186,35 @@ def test_tau_table_regrows_geometrically(fresh_tables):
     built = [n for kind, n in fresh_tables if kind == "tau"]
     assert built[0] == 2001  # the first build is exact
     assert len(built) <= 2
+
+
+def test_sigma_table_regrows_geometrically(fresh_tables):
+    for t in range(100, 201):
+        shifted_L(LQuery(3, 1, 11, t))
+    built = [(a, n) for a, n in fresh_tables if a == 1]
+    assert built[0] == (1, 100)  # the first build is exact
+    assert len(built) <= 3
+
+
+def test_tables_are_built_once_under_concurrent_requests(fresh_tables):
+    results = []
+
+    def work():
+        results.append((tau_table(3000), lseries._sigma(1, 3000), lseries._weights(11, 3000, 128)))
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(fresh_tables) == 2 and set(fresh_tables) == {("tau", 3000), (1, 3000)}
+    assert len(results) == 8 and all(x is y for r in results for x, y in zip(r, results[0]))
 
 
 def test_verify_sweep_matches_verify_identity(fresh_tables):

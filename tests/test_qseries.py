@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from tauforms import _kernels
 from tauforms.arith import Rat
-from tauforms.forms import e2, eisenstein, sigma
-from tauforms.qseries import QSeries, delta_series
+from tauforms.forms import delta_series, e2, eisenstein, sigma
+from tauforms.qseries import QSeries
 
 small_series = st.lists(
     st.builds(lambda n, d: Rat(n, d), st.integers(-50, 50), st.integers(1, 12)),
