@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from mpmath import mp
 from mpmath.libmp import from_rational
@@ -151,8 +151,18 @@ def solve_exact(columns: list[list], target: list) -> list:
     sol = [ZERO] * k
     for i, col in enumerate(pivots):
         sol[col] = aug[i][k]
-    for i in range(nrows):
-        if sum(columns[j][i] * sol[j] for j in range(k)) != target[i]:
+    # Check every row in integers.  Column j is C_j / d_j, the target T / d_t
+    # and the solution w / s; over L = lcm(d_j, d_t) each row reads
+    # sum_j (w_j L/d_j) C_j[i] == (s L/d_t) T[i].
+    cols = [[as_rat(x) for x in col] for col in columns] + [[as_rat(x) for x in target]]
+    dens = [lcm(*(x.denominator for x in col)) for col in cols]
+    ints = [[x.numerator * (d // x.denominator) for x in col] for col, d in zip(cols, dens)]
+    big = lcm(*dens)
+    s = lcm(*(x.denominator for x in sol))
+    weights = [x.numerator * (s // x.denominator) * (big // d) for x, d in zip(sol, dens)]
+    t_scale = s * (big // dens[k])
+    for i, row in enumerate(zip(*ints)):
+        if sum(w * c for w, c in zip(weights, row)) != t_scale * row[k]:
             raise InconsistentSystem(f"residual at row {i}")
     return sol
 

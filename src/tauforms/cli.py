@@ -11,17 +11,19 @@ Subcommands:
 * ``selftest``                        the exact identity suite
 
 Exit status: 0 when everything printed PASS, 1 on any FAIL, 2 on usage
-errors.  Every usage error prints one ``error:`` line to stderr: an
-expression that does not parse or type-check, an argument out of range, a
-table beyond the kernel's limit, a ``--tol`` that is not positive and finite,
-a ``--csv`` path that cannot be written, or a ``TAUFORMS_PREC_BITS`` that is
-not an integer >= 16.  ``TAUFORMS_PREC_BITS`` overrides the default 256-bit
-float precision.
+errors.  Every usage error prints one ``error:`` line to stderr: an unknown
+subcommand, a missing or malformed argument, an expression that does not
+parse or type-check, an argument out of range, a table beyond the kernel's
+limit, a ``--tol`` that is not positive and finite, a ``--csv`` path that
+cannot be written (refused before any work), or a ``TAUFORMS_PREC_BITS``
+that is not an integer >= 16.  ``TAUFORMS_PREC_BITS`` overrides the default
+256-bit float precision.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -45,6 +47,13 @@ EXIT_USAGE = 2
 def _usage_error(message: str):
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser (and, by inheritance, its subparsers) whose usage errors print one line."""
+
+    def error(self, message: str):
+        _usage_error(message)
 
 
 def _prec_bits(args) -> int:
@@ -97,11 +106,20 @@ def cmd_basis(args) -> int:
     return EXIT_PASS
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+def _open_csv(path: str | None):
+    """The ``--csv`` file, opened before any work so that a bad path fails at once.
+
+    Append mode keeps an existing file intact until ``_write_csv`` replaces its
+    contents, so a usage error found later leaves it as it was.
+    """
+    return open(path, "a", newline="") if path else contextlib.nullcontext()
+
+
+def _write_csv(fh, rows: list[dict]) -> None:
+    fh.truncate(0)
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def cmd_verify_tau(args) -> int:
@@ -109,10 +127,11 @@ def cmd_verify_tau(args) -> int:
     if not 1 <= args.m_from <= args.m_to <= _MAX_PREC:
         raise ValueError(f"need 1 <= m-from <= m-to <= {_MAX_PREC}")
     ms = range(args.m_from, args.m_to + 1)
-    reports = lseries.verify_sweep(args.id, ms, tol=args.tol, cutoff=args.cutoff, prec_bits=prec)
-    rows = [r.row() for r in reports]
-    if args.csv:
-        _write_csv(args.csv, rows)
+    with _open_csv(args.csv) as fh:
+        reports = lseries.verify_sweep(args.id, ms, tol=args.tol, cutoff=args.cutoff, prec_bits=prec)
+        rows = [r.row() for r in reports]
+        if fh:
+            _write_csv(fh, rows)
     if args.json:
         print(json.dumps(rows))
     else:
@@ -129,25 +148,26 @@ def cmd_lvalues(args) -> int:
     prec = _prec_bits(args)
     rows = []
     ok = True
-    for val in lseries.lvalues_m0(cutoff=args.cutoff, prec_bits=prec):
-        with mp.workprec(prec):
-            diff = abs(val.numeric - mp.mpf(val.printed))
-            match = diff < mp.mpf("5e-4")
-        ok = ok and match
-        rows.append(
-            {
-                "a": val.a,
-                "s": val.s,
-                "cutoff": val.cutoff,
-                "numeric": mpf_str(val.numeric, 15),
-                "predicted": mpf_str(val.predicted, 15),
-                "constant": rat_str(val.constant),
-                "printed": val.printed,
-                "verdict": "PASS" if match else "FAIL",
-            }
-        )
-    if args.csv:
-        _write_csv(args.csv, rows)
+    with _open_csv(args.csv) as fh:
+        for val in lseries.lvalues_m0(cutoff=args.cutoff, prec_bits=prec):
+            with mp.workprec(prec):
+                diff = abs(val.numeric - mp.mpf(val.printed))
+                match = diff < mp.mpf("5e-4")
+            ok = ok and match
+            rows.append(
+                {
+                    "a": val.a,
+                    "s": val.s,
+                    "cutoff": val.cutoff,
+                    "numeric": mpf_str(val.numeric, 15),
+                    "predicted": mpf_str(val.predicted, 15),
+                    "constant": rat_str(val.constant),
+                    "printed": val.printed,
+                    "verdict": "PASS" if match else "FAIL",
+                }
+            )
+        if fh:
+            _write_csv(fh, rows)
     if args.json:
         print(json.dumps(rows))
     else:
@@ -246,7 +266,7 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tauforms",
         description="Exact modular-form calculus and Ramanujan tau identity verification.",
     )

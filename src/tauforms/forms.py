@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels
-from .arith import ONE, ZERO, InconsistentSystem, Rat, as_rat, bernoulli, rat_str, solve_exact
+from .arith import ZERO, InconsistentSystem, Rat, as_rat, bernoulli, rat_str, solve_exact
 from .qseries import QSeries, check_prec
 
 #: Bound on every cache keyed by precision (here and in ``calculus``); the
@@ -39,6 +39,20 @@ def sigma(a: int, n: int) -> int:
                 total += e**a
         d += 1
     return total
+
+
+def sigma_sieve(a: int, nmax: int) -> list[int]:
+    """[0, sigma_a(1), ..., sigma_a(nmax)] from one divisor sieve, in Python ints.
+
+    Exact for every a, where the int64 kernel ``_kernels.sigma_range``
+    overflows (sigma_11 already does).
+    """
+    out = [0] * (nmax + 1)
+    for d in range(1, nmax + 1):
+        p = d**a
+        for n in range(d, nmax + 1, d):
+            out[n] += p
+    return out
 
 
 class NotModularError(ValueError):
@@ -133,14 +147,17 @@ def eisenstein(k: int, prec: int) -> Form:
         raise ValueError(f"Eisenstein weight must be even and >= 4 (for weight 2 use e2), got {k}")
     check_prec(prec)
     c = Rat(-2 * k) / bernoulli(k)
-    return Form(k, QSeries([ONE] + [c * sigma(k - 1, n) for n in range(1, prec)]))
+    p, q = c.numerator, c.denominator
+    sig = sigma_sieve(k - 1, prec - 1)
+    return Form(k, QSeries._from_ints([q] + [p * x for x in sig[1:]], q))
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)
 def e2(prec: int) -> Form:
     """The quasimodular series of weight 2: 1 - 24 sum sigma_1(n) q^n."""
     check_prec(prec)
-    return Form(2, QSeries([ONE] + [Rat(-24 * sigma(1, n)) for n in range(1, prec)]), quasimodular=True)
+    sig = sigma_sieve(1, prec - 1)
+    return Form(2, QSeries._from_ints([1] + [-24 * x for x in sig[1:]]), quasimodular=True)
 
 
 @lru_cache(maxsize=CACHE_MAXSIZE)

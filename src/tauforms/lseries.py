@@ -474,12 +474,13 @@ def derive_m0_constants(prec: int = 201) -> dict[tuple[int, int], Rat]:
     L-values, measured in units of R = (4 pi)^11 <Delta, Delta> / 10!.
     The solution, rescaled by 4^11/10!, must reproduce ``M0_CONSTANTS``.
     """
-    from .forms import sigma as sigma_fn
+    from .forms import sigma_sieve
 
     nmax = prec - 1
     monomial_cols = []
     for _, a, i in _MONOMIALS:
-        monomial_cols.append([Rat(n) ** i * sigma_fn(a, n) for n in range(1, nmax + 1)])
+        sig = sigma_sieve(a, nmax)
+        monomial_cols.append([Rat(n**i * sig[n]) for n in range(1, nmax + 1)])
     equations = []  # rows of (coefficients over the six unknowns, rhs in units of R)
     for entry in exact_lhs_catalog(prec):
         stream = [entry.seed[n] for n in range(1, nmax + 1)]

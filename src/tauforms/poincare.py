@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .arith import ZERO, Rat, as_rat, rat_str, solve_exact
 from .calculus import _rc_seed_series, _serre_seed_series, rc_seed, serre_seed
-from .forms import Form, dim_sk, e2, eisenstein, sigma
+from .forms import Form, dim_sk, e2, eisenstein, sigma_sieve
 from .qseries import QSeries
 
 
@@ -349,10 +349,10 @@ def identity_stream(entry: TauIdentity, m: int, cutoff: int) -> tuple[Rat, ...]:
     """The identity rewritten as 0 = sum_n c_n P_{12,m+n}: c_0 = m^11 and
     c_n = -prefactor(m) sigma_a(n) (m+n)^{11-s}."""
     pref = entry.prefactor(m)
-    out = [Rat(m) ** 11]
-    for n in range(1, cutoff + 1):
-        out.append(-pref * Rat(sigma(entry.a, n)) * Rat(m + n) ** (11 - entry.s))
-    return tuple(out)
+    p, q = -pref.numerator, pref.denominator
+    sig = sigma_sieve(entry.a, cutoff)
+    e = 11 - entry.s
+    return (Rat(m) ** 11,) + tuple(Rat(p * sig[n] * (m + n) ** e, q) for n in range(1, cutoff + 1))
 
 
 # Which vanishing relations each identity is eliminated from.

@@ -3,12 +3,18 @@
 A :class:`QSeries` knows its first ``prec`` coefficients (indices
 0..prec-1) and nothing beyond; binary operations truncate to the shorter
 operand so that no coefficient is ever fabricated.
+
+The coefficients are kept as integer numerators ``num`` over one positive
+denominator ``den`` with ``gcd(den, *num) == 1``, so each series has exactly
+one representation and equality and hashing compare plain tuples.  Every
+ring operation works on the integers; ``Rat`` values appear only at the
+edge, in the constructor, ``coeffs`` and ``series[n]``.
 """
 
 from __future__ import annotations
 
 import json
-from math import lcm
+from math import gcd, lcm
 
 from ._kernels import _MAX_PREC
 from .arith import ONE, ZERO, Rat, as_rat, rat_str
@@ -23,21 +29,34 @@ def check_prec(prec: int) -> None:
 
 
 class QSeries:
-    """Truncated power series in q with exact rational coefficients."""
+    """Truncated power series in q with exact rational coefficients num[n] / den."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(as_rat(c) for c in coeffs)
-        if not self.coeffs:
+        num, den = _integer_vector([as_rat(c) for c in coeffs])
+        if not num:
             raise ValueError("a q-series needs at least one known coefficient")
+        self.num, self.den = tuple(num), den
+
+    @classmethod
+    def _from_ints(cls, num, den: int = 1) -> "QSeries":
+        """The series num[n] / den, for integers num and a positive integer den, in lowest terms."""
+        if not num:
+            raise ValueError("a q-series needs at least one known coefficient")
+        g = gcd(den, *num)
+        self = object.__new__(cls)
+        self.num = tuple(num) if g == 1 else tuple(x // g for x in num)
+        self.den = den // g
+        return self
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def constant(cls, value, prec: int) -> "QSeries":
         check_prec(prec)
-        return cls((as_rat(value),) + (ZERO,) * (prec - 1))
+        c = as_rat(value)
+        return cls._from_ints((c.numerator,) + (0,) * (prec - 1), c.denominator)
 
     @classmethod
     def zero(cls, prec: int) -> "QSeries":
@@ -51,48 +70,57 @@ class QSeries:
 
     @property
     def prec(self) -> int:
-        return len(self.coeffs)
+        return len(self.num)
+
+    @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        d = self.den
+        return tuple(Rat(x, d) for x in self.num)
 
     def __getitem__(self, n: int) -> Rat:
-        return self.coeffs[n]
+        return Rat(self.num[n], self.den)
 
     def __iter__(self):
         return iter(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QSeries) and self.coeffs == other.coeffs
+        return isinstance(other, QSeries) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        head = ", ".join(rat_str(c) for c in self.coeffs[:6])
+        head = ", ".join(rat_str(Rat(x, self.den)) for x in self.num[:6])
         tail = ", ..." if self.prec > 6 else ""
         return f"QSeries(prec={self.prec}; {head}{tail})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     # -- ring operations (result precision = min of operands) ----------------
+
+    def _combine(self, other: "QSeries", sign: int) -> "QSeries":
+        """self + sign * other over the lcm of the two denominators."""
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, sign * (d // other.den)
+        return QSeries._from_ints([x * fa + y * fb for x, y in zip(self.num, other.num)], d)
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.prec, other.prec)
-        return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.prec, other.prec)
-        return QSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self.coeffs])
+        return QSeries._from_ints([-x for x in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            return QSeries(_kronecker_product(self.coeffs, other.coeffs))
+            return QSeries._from_ints(_kronecker_product(self.num, other.num), self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -100,7 +128,8 @@ class QSeries:
 
     def scale(self, c) -> "QSeries":
         c = as_rat(c)
-        return QSeries([c * x for x in self.coeffs])
+        p = c.numerator
+        return QSeries._from_ints([p * x for x in self.num], self.den * c.denominator)
 
     def __pow__(self, e: int) -> "QSeries":
         if not isinstance(e, int) or e < 0:
@@ -123,7 +152,7 @@ class QSeries:
             raise ValueError("derivative order must be >= 0")
         if j == 0:
             return self
-        return QSeries([c * Rat(n) ** j for n, c in enumerate(self.coeffs)])
+        return QSeries._from_ints([x * n**j for n, x in enumerate(self.num)], self.den)
 
     def shift(self, n_up: int) -> "QSeries":
         """Multiply by q^N.  All input coefficients remain known, so the
@@ -132,12 +161,12 @@ class QSeries:
             raise ValueError("shift must be >= 0")
         if n_up == 0:
             return self
-        return QSeries((ZERO,) * n_up + self.coeffs)
+        return QSeries._from_ints((0,) * n_up + self.num, self.den)
 
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise ValueError(f"cannot extend precision {self.prec} to {prec}")
-        return QSeries(self.coeffs[:prec])
+        return QSeries._from_ints(self.num[:prec], self.den)
 
     # -- serialization --------------------------------------------------------
 
@@ -154,38 +183,38 @@ class QSeries:
 
 
 def _integer_vector(coeffs) -> tuple[list[int], int]:
-    """Integers v and a denominator d with coeffs[i] == v[i] / d, d the lcm of the denominators."""
+    """Integers v and a denominator d with coeffs[i] == v[i] / d, d the lcm of the denominators.
+
+    For coefficients in lowest terms gcd(d, *v) == 1: a prime dividing d
+    divides some denominator to its full power in d, and that numerator not at all.
+    """
     dens = [c.denominator for c in coeffs]
     d = lcm(*dens)
     return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
 
 
-def _pack(vec: list[int], slot_bytes: int) -> int:
+def _pack(vec, slot_bytes: int) -> int:
     """sum vec[i] 2^(8 slot_bytes i) for signed vec[i], each of magnitude below the slot."""
     pos = b"".join((x if x > 0 else 0).to_bytes(slot_bytes, "little") for x in vec)
     neg = b"".join((-x if x < 0 else 0).to_bytes(slot_bytes, "little") for x in vec)
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _kronecker_product(a, b) -> list[Rat]:
-    """The first min(len(a), len(b)) coefficients of the product of two series.
+def _kronecker_product(va, vb) -> list[int]:
+    """The first n = min(len(va), len(vb)) coefficients of the product of two integer vectors.
 
-    Both operands go over a common denominator and are packed into one
-    integer each (Kronecker substitution), so the product is one big-integer
-    multiply.  A slot of K bits (whole bytes) holds a signed coefficient of
-    the result: |c_k| <= n max|a_i| max|b_j| < 2^(K-1).  Adding 2^(K-1) to every one of
-    the low n slots makes them nonnegative, so they unpack without borrows.
+    Each operand is packed into one integer (Kronecker substitution), so the
+    product is one big-integer multiply.  A slot of K bits (whole bytes)
+    holds a signed coefficient of the result: |c_k| <= n max|a_i| max|b_j| <
+    2^(K-1).  Adding 2^(K-1) to every one of the low n slots makes them
+    nonnegative, so they unpack without borrows.
     """
-    n = min(len(a), len(b))
-    va, da = _integer_vector(a[:n])
-    vb, db = _integer_vector(b[:n])
+    n = min(len(va), len(vb))
+    va, vb = va[:n], vb[:n]
     bits = max(abs(x) for x in va).bit_length() + max(abs(x) for x in vb).bit_length()
     slot = (bits + n.bit_length() + 2 + 7) // 8
     half = 1 << (8 * slot - 1)
     offset = int.from_bytes(half.to_bytes(slot, "little") * n, "little")
     low = (_pack(va, slot) * _pack(vb, slot) + offset) & ((1 << (8 * slot * n)) - 1)
     raw = low.to_bytes(slot * n, "little")
-    den = da * db
-    return [
-        Rat(int.from_bytes(raw[i : i + slot], "little") - half, den) for i in range(0, slot * n, slot)
-    ]
+    return [int.from_bytes(raw[i : i + slot], "little") - half for i in range(0, slot * n, slot)]

@@ -142,3 +142,14 @@ def test_solve_exact_widens_its_window_and_checks_every_row():
         solve_exact(cols, target[:-1] + [target[-1] + 1])
     with pytest.raises(ValueError, match="linearly dependent"):
         solve_exact([[1] * 40, [2] * 40, [1] * 20 + [0] * 20], [0] * 40)
+
+
+def test_solve_exact_checks_rational_rows_exactly():
+    # Columns, target and solution all carry denominators, so the integer row
+    # check needs every scale factor; a change of 10^-30 in the last row shows.
+    cols = [[Rat(1, 7)] * 40, [Rat(i, 6) for i in range(40)], [Rat(i * i, 5) for i in range(40)]]
+    sol = [2, Rat(-1, 3), Rat(5, 11)]
+    target = [sum(c * x for c, x in zip(row, sol)) for row in zip(*cols)]
+    assert solve_exact(cols, target) == sol
+    with pytest.raises(InconsistentSystem, match="residual at row 39"):
+        solve_exact(cols, target[:-1] + [target[-1] + Rat(1, 10**30)])

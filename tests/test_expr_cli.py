@@ -173,6 +173,7 @@ def test_cli_usage_error_exit_code():
 
 def test_cli_verify_tau_small(capsys, tmp_path):
     csv_path = tmp_path / "rows.csv"
+    csv_path.write_text("stale rows that the new ones must replace\n" * 50)
     code = main(
         [
             "verify-tau",
@@ -193,8 +194,9 @@ def test_cli_verify_tau_small(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") == 2
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "identity_id,m,a,s,cutoff,partial_sum,tail_estimate,rigorous,lhs,rel_err,verdict"
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "identity_id,m,a,s,cutoff,partial_sum,tail_estimate,rigorous,lhs,rel_err,verdict"
+    assert len(lines) == 3 and lines[1].startswith("kumar,1,")
 
 
 def test_cli_verify_tau_fail_exit(capsys):
@@ -253,7 +255,7 @@ def _verify_tau(m_from, m_to, *extra):
         pytest.param(["lvalues", "--cutoff", "100"], id="lvalues"),
     ],
 )
-def test_cli_csv_to_a_missing_directory_exits_2_with_one_line(argv, capsys, tmp_path):
+def test_cli_csv_to_a_missing_directory_exits_2_with_one_line(argv, capsys, tmp_path, fresh_tables):
     path = tmp_path / "missing" / "x.csv"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--csv", str(path)])
@@ -261,6 +263,23 @@ def test_cli_csv_to_a_missing_directory_exits_2_with_one_line(argv, capsys, tmp_
     assert exc.value.code == 2
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert not path.exists()
+    assert fresh_tables == []  # the path is refused before any table is built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_verify_tau(1, 1, "--cutoff", "0"), id="verify-tau"),
+        pytest.param(["lvalues", "--cutoff", "0"], id="lvalues"),
+    ],
+)
+def test_cli_usage_error_leaves_an_existing_csv_intact(argv, capsys, tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("old\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--csv", str(path)])
+    assert exc.value.code == 2
+    assert path.read_text() == "old\n"
 
 
 @pytest.mark.parametrize(
@@ -290,6 +309,12 @@ def test_cli_csv_to_a_missing_directory_exits_2_with_one_line(argv, capsys, tmp_
         pytest.param(_verify_tau(1, 1, "--cutoff", "100", "--tol", "nan"), None, id="verify-tol-nan"),
         pytest.param(_verify_tau(1, 1, "--cutoff", "100", "--tol", "-1"), None, id="verify-tol--1"),
         pytest.param(_verify_tau(1, 1, "--cutoff", "100", "--tol", "0"), None, id="verify-tol-0"),
+        pytest.param(["tau", "abc"], None, id="tau-not-int"),
+        pytest.param(["verify-tau", "--m-from", "1", "--m-to", "2"], None, id="verify-without-id"),
+        pytest.param(["nosuch"], None, id="unknown-command"),
+        pytest.param([], None, id="no-command"),
+        pytest.param(["expand", "E4", "--prec", "x"], None, id="expand-prec-not-int"),
+        pytest.param(["expand", "-E4"], None, id="expand-expr-read-as-option"),
     ],
 )
 def test_cli_input_contract_exits_2_with_one_line(argv, prec_env, capsys, monkeypatch):
@@ -305,6 +330,38 @@ def test_cli_input_contract_exits_2_with_one_line(argv, prec_env, capsys, monkey
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["expand", "-h"]])
+def test_cli_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tauforms")
+
+
+# Tokens of the expression grammar, with small integers only, so that a draw
+# that happens to be well formed still evaluates quickly.
+_EXPR_TOKENS = st.sampled_from(
+    [*expr._ATOMS, *(f"{name}(" for name in sorted(expr._FUNCTIONS)), "Q9", "f("]
+    + ["0", "1", "2", "3", "4", "12", "1/2", "5/6", "2/0", "/"]
+    + ["+", "-", "*", "^", "(", ")", ",", " ", "$"]
+)
+_MALFORMED_EXPR = st.lists(_EXPR_TOKENS, min_size=0, max_size=12).map("".join)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["expand", "basis"]), text=_MALFORMED_EXPR)
+def test_cli_malformed_expressions_exit_cleanly(command, text, capsys):
+    try:
+        code = main([command, text, "--prec", "12"])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
 # Out of range: <= 0, or a table beyond the kernel's limit, so no draw builds a table.

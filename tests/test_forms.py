@@ -15,6 +15,7 @@ from tauforms.forms import (
     mk_basis,
     one,
     sigma,
+    sigma_sieve,
     tau,
     tau_table,
 )
@@ -31,6 +32,13 @@ def test_sigma_values():
 def test_sigma_rejects_zero():
     with pytest.raises(ValueError):
         sigma(1, 0)
+
+
+@pytest.mark.parametrize("a", [1, 3, 5, 7, 9, 11, 13])
+def test_sigma_sieve_matches_trial_division(a):
+    table = sigma_sieve(a, 2000)
+    assert table[0] == 0
+    assert table[1:] == [sigma(a, n) for n in range(1, 2001)]
 
 
 def test_eisenstein_coefficients():

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -178,6 +180,65 @@ def test_mul_matches_schoolbook(f, g):
     assert prod == schoolbook(f, g)
     assert prod.prec == min(f.prec, g.prec)
     assert g * f == prod
+
+
+def _assert_canonical(f: QSeries) -> None:
+    assert all(type(x) is int for x in f.num) and type(f.den) is int
+    assert f.den > 0 and gcd(f.den, *f.num) == 1
+
+
+@settings(max_examples=75)
+@given(
+    _runs_series,
+    _runs_series,
+    _coeff,
+    st.integers(0, 3),
+    st.integers(0, 5),
+    st.integers(1, 70),
+    st.integers(0, 3),
+)
+@example(QSeries([Rat(1, 6), Rat(1, 3)]), QSeries([Rat(-1, 6), Rat(2, 3)]), Rat(6), 1, 0, 1, 2)
+def test_operations_match_coefficientwise_fractions(f, g, c, j, up, cut, e):
+    a, b = f.coeffs, g.coeffs
+    n = min(len(a), len(b))
+    power = QSeries.one(f.prec)
+    for _ in range(e):
+        power = schoolbook(power, f)
+    cases = [
+        (f + g, [a[i] + b[i] for i in range(n)]),
+        (f - g, [a[i] - b[i] for i in range(n)]),
+        (-f, [-x for x in a]),
+        (f.scale(c), [c * x for x in a]),
+        (c * f, [c * x for x in a]),
+        (f.derive(j), [x * i**j for i, x in enumerate(a)]),
+        (f.shift(up), [Rat(0)] * up + list(a)),
+        (f * g, list(schoolbook(f, g).coeffs)),
+        (f**e, list(power.coeffs)),
+    ]
+    if cut <= f.prec:
+        cases.append((f.truncate(cut), list(a[:cut])))
+    for got, want in cases:
+        _assert_canonical(got)
+        assert list(got.coeffs) == want
+        assert [got[i] for i in range(got.prec)] == want
+        ref = QSeries(want)  # the same series, built from its coefficients
+        assert got == ref and hash(got) == hash(ref)
+
+
+def test_equal_series_built_by_different_routes_hash_equal():
+    f = q(1, 2, 0, -3)
+    routes = [
+        q("1/6", "1/3", 0, "-1/2").scale(6),
+        q("1/2", 1, 0, "-3/2") + q("1/2", 1, 0, "-3/2"),
+        q(3, 2, 7, -3) - q(2, 0, 7, 0),
+        q(1, 4, 0, -24).derive(0) - q(0, 2, 0, -21),
+        q("7/10", "7/5", 0, "-21/10") * q("10/7", 0, 0, 0),
+        q("5/2", 2, 0, -3, "1/9").truncate(4) - q("3/2", 0, 0, 0),
+    ]
+    for g in routes:
+        _assert_canonical(g)
+        assert g == f and hash(g) == hash(f)
+    assert q("2/4", 0).den == 2 and q(0, 0).den == 1
 
 
 def test_deep_products_match_closed_forms():
