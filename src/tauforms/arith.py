@@ -13,9 +13,6 @@ import threading
 from fractions import Fraction
 from math import comb, lcm
 
-from mpmath import mp
-from mpmath.libmp import from_rational
-
 Rat = Fraction
 
 ZERO = Rat(0)
@@ -41,12 +38,15 @@ def rat_str(x) -> str:
     return str(r)
 
 
-def parse_rat(s: str) -> Rat:
-    return Rat(s.strip())
+def integer_vector(coeffs) -> tuple[list[int], int]:
+    """Integers v and a denominator d with coeffs[i] == v[i] / d, d the lcm of the denominators.
 
-
-def is_integral(x) -> bool:
-    return as_rat(x).denominator == 1
+    For coefficients in lowest terms gcd(d, *v) == 1: a prime dividing d
+    divides some denominator to its full power in d, and that numerator not at all.
+    """
+    dens = [c.denominator for c in coeffs]
+    d = lcm(*dens)
+    return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
 
 
 _bernoulli_cache: list = [ONE]
@@ -123,23 +123,34 @@ class InconsistentSystem(ValueError):
     pass
 
 
-def solve_exact(columns: list[list], target: list) -> list:
+def _integer_column(col) -> tuple:
+    """Integers and one denominator for a column: a q-series' own, or a rational sequence's."""
+    if hasattr(col, "den"):
+        return col.num, col.den
+    return integer_vector([as_rat(x) for x in col])
+
+
+def solve_exact(columns: list, target) -> list:
     """Exact coefficients x with sum_j x[j] * columns[j] == target.
 
-    All rows of the (possibly overdetermined) system must be satisfied
-    exactly, otherwise :class:`InconsistentSystem` is raised.  Columns must
-    be linearly independent.
+    A column (and the target) is a sequence of rationals, or an object that
+    carries integer numerators ``num`` over one positive denominator ``den``,
+    such as a ``QSeries``; the latter is used as it is, with no rational per
+    entry.  All rows of the (possibly overdetermined) system must be
+    satisfied exactly, otherwise :class:`InconsistentSystem` is raised.
+    Columns must be linearly independent.
 
     Elimination runs on a window of leading rows, 2k+2 at first and doubled
     until the columns reach rank k or the window covers every row; the
     solution is then checked on every row.
     """
     k = len(columns)
-    nrows = len(target)
+    ints, dens = zip(*map(_integer_column, (*columns, target)))
+    nrows = len(ints[k])
     window = 2 * k + 2
     while True:
         rows = min(window, nrows)
-        aug = [[as_rat(columns[j][i]) for j in range(k)] + [as_rat(target[i])] for i in range(rows)]
+        aug = [[Rat(ints[j][i], dens[j]) for j in range(k + 1)] for i in range(rows)]
         aug, pivots = rref(aug)
         if k in pivots:
             raise InconsistentSystem("target not in span")
@@ -154,9 +165,6 @@ def solve_exact(columns: list[list], target: list) -> list:
     # Check every row in integers.  Column j is C_j / d_j, the target T / d_t
     # and the solution w / s; over L = lcm(d_j, d_t) each row reads
     # sum_j (w_j L/d_j) C_j[i] == (s L/d_t) T[i].
-    cols = [[as_rat(x) for x in col] for col in columns] + [[as_rat(x) for x in target]]
-    dens = [lcm(*(x.denominator for x in col)) for col in cols]
-    ints = [[x.numerator * (d // x.denominator) for x in col] for col, d in zip(cols, dens)]
     big = lcm(*dens)
     s = lcm(*(x.denominator for x in sol))
     weights = [x.numerator * (s // x.denominator) * (big // d) for x, d in zip(sol, dens)]
@@ -169,13 +177,6 @@ def solve_exact(columns: list[list], target: list) -> list:
 
 # ---------------------------------------------------------------------------
 # Big floats.
-
-
-def rat_to_mpf(x, prec_bits: int = DEFAULT_PREC_BITS):
-    """Rat -> mpf with a single round-to-nearest at prec_bits."""
-    r = as_rat(x)
-    with mp.workprec(prec_bits):
-        return mp.make_mpf(from_rational(int(r.numerator), int(r.denominator), prec_bits, "n"))
 
 
 def mpf_str(x, digits: int = 25) -> str:

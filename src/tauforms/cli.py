@@ -52,7 +52,28 @@ def _usage_error(message: str):
 class _ArgumentParser(argparse.ArgumentParser):
     """An argument parser (and, by inheritance, its subparsers) whose usage errors print one line."""
 
+    def parse_known_args(self, args=None, namespace=None):
+        self._arg_strings = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message: str):
+        # A subcommand's positional that begins with "-" (an expression such
+        # as -E4) is read as an unknown option, which leaves the positional
+        # missing; say so, and show the "--" form.
+        head, _, missing = message.partition(": ")
+        if self._subparsers is None and head == "the following arguments are required" and not missing.startswith("-"):
+            stray = next(
+                (
+                    a
+                    for a in getattr(self, "_arg_strings", ())  # set by parse_known_args
+                    if a.startswith("-")
+                    and a.split("=")[0] not in self._option_string_actions
+                    and not self._negative_number_matcher.match(a)
+                ),
+                None,
+            )
+            if stray is not None:
+                message = f"{stray} was read as an option, leaving {missing} missing; put it after --: {self.prog} -- {stray}"
         _usage_error(message)
 
 

@@ -312,9 +312,8 @@ def in_basis(f: Form) -> BasisCoords:
     if f.prec < dim + 5:
         raise ValueError(f"precision {f.prec} too low to certify a weight-{f.weight} decomposition (need {dim + 5})")
     basis = mk_basis(f.weight, f.prec)
-    columns = [list(b.series.coeffs) for b in basis]
     try:
-        sol = solve_exact(columns, list(f.series.coeffs))
+        sol = solve_exact([b.series for b in basis], f.series)
     except InconsistentSystem as exc:
         raise NotModularError(f"not modular of this weight: {exc}") from exc
     return BasisCoords(f.weight, tuple(zip(exponents, sol)))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 
 from .arith import ZERO, Rat, as_rat, rat_str, solve_exact
 from .calculus import _rc_seed_series, _serre_seed_series, rc_seed, serre_seed
@@ -134,22 +135,29 @@ def eval_low_weight(p: FormalPoincare) -> Form:
 class TauRelation:
     """The relation 0 = sum_{n>=0} c_n P_{weight, m+n} read off a vanishing average.
 
-    For m >= 1 this says sum_n c_n tau(m+n)/(m+n)^{weight-1} = 0.
+    For m >= 1 this says sum_n c_n tau(m+n)/(m+n)^{weight-1} = 0.  The c_n
+    are kept as integer numerators ``num`` over one denominator ``den`` in
+    lowest terms, so the relation is a column :func:`solve_exact` takes as it is.
     """
 
     m: int
-    coeffs: tuple[Rat, ...]
+    num: tuple[int, ...]
+    den: int
     weight: int = 12
     origin: str = ""
 
     @property
+    def coeffs(self) -> tuple[Rat, ...]:
+        return tuple(Rat(x, self.den) for x in self.num)
+
+    @property
     def cutoff(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def coeff(self, n: int) -> Rat:
         if n > self.cutoff:
             raise ValueError(f"relation stream prepared to n={self.cutoff}, asked for n={n}")
-        return self.coeffs[n]
+        return Rat(self.num[n], self.den)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -186,7 +194,9 @@ def reduce_weight12(p: FormalPoincare, m_shift: int | None = None, weight: int =
     for j in range(m_shift):
         if p.seed[j] != 0:
             raise ValueError(f"seed has a nonzero coefficient below the base index (q^{j})")
-    return TauRelation(m_shift, tuple(p.seed.coeffs[m_shift:]), weight=weight, origin=p.origin)
+    num = p.seed.num[m_shift:]
+    g = gcd(p.seed.den, *num)
+    return TauRelation(m_shift, tuple(x // g for x in num), p.seed.den // g, weight=weight, origin=p.origin)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +398,4 @@ def derive_identity(ident: str, m: int, cutoff: int = 200) -> list[Rat]:
     does not lie in the span (which would falsify the catalog).
     """
     entry = catalog_identity(ident)
-    target = list(identity_stream(entry, m, cutoff))
-    builders = _DERIVATIONS[ident]
-    columns = [list(b(m, cutoff).coeffs) for b in builders]
-    return solve_exact(columns, target)
+    return solve_exact([b(m, cutoff) for b in _DERIVATIONS[ident]], identity_stream(entry, m, cutoff))

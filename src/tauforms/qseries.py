@@ -17,7 +17,7 @@ import json
 from math import gcd, lcm
 
 from ._kernels import _MAX_PREC
-from .arith import ONE, ZERO, Rat, as_rat, rat_str
+from .arith import ONE, ZERO, Rat, as_rat, integer_vector, rat_str
 
 
 def check_prec(prec: int) -> None:
@@ -34,7 +34,7 @@ class QSeries:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs):
-        num, den = _integer_vector([as_rat(c) for c in coeffs])
+        num, den = integer_vector([as_rat(c) for c in coeffs])
         if not num:
             raise ValueError("a q-series needs at least one known coefficient")
         self.num, self.den = tuple(num), den
@@ -180,17 +180,6 @@ class QSeries:
         if data.get("prec") != len(coeffs):
             raise ValueError("declared prec disagrees with coefficient count")
         return cls(coeffs)
-
-
-def _integer_vector(coeffs) -> tuple[list[int], int]:
-    """Integers v and a denominator d with coeffs[i] == v[i] / d, d the lcm of the denominators.
-
-    For coefficients in lowest terms gcd(d, *v) == 1: a prime dividing d
-    divides some denominator to its full power in d, and that numerator not at all.
-    """
-    dens = [c.denominator for c in coeffs]
-    d = lcm(*dens)
-    return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
 
 
 def _pack(vec, slot_bytes: int) -> int:

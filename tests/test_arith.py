@@ -4,17 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tauforms import QSeries
 from tauforms.arith import (
     InconsistentSystem,
     Rat,
     as_rat,
     bernoulli,
     binomial,
-    is_integral,
-    parse_rat,
     pochhammer,
     rat_str,
-    rat_to_mpf,
     solve_exact,
 )
 
@@ -64,8 +62,8 @@ def test_eisenstein_prefactors():
     for k, val in expected.items():
         assert Rat(2 * k) / bernoulli(k) == val
         if k != 12:
-            assert is_integral(val)
-    assert not is_integral(expected[12])
+            assert val.denominator == 1
+    assert expected[12].denominator != 1
 
 
 def test_binomial_values():
@@ -105,7 +103,7 @@ def test_rat_field_axioms(x, y, z):
 
 @given(rationals)
 def test_rat_string_roundtrip(x):
-    assert parse_rat(rat_str(x)) == x
+    assert Rat(rat_str(x)) == x
 
 
 def test_rat_lowest_terms():
@@ -118,11 +116,6 @@ def test_rat_lowest_terms():
 def test_as_rat_refuses_floats():
     with pytest.raises(TypeError):
         as_rat(0.5)
-
-
-def test_rat_to_mpf_single_rounding():
-    x = rat_to_mpf(Rat(1, 3), 64)
-    assert abs(x - 1 / 3) < 1e-15
 
 
 def test_solve_exact_and_inconsistency():
@@ -153,3 +146,15 @@ def test_solve_exact_checks_rational_rows_exactly():
     assert solve_exact(cols, target) == sol
     with pytest.raises(InconsistentSystem, match="residual at row 39"):
         solve_exact(cols, target[:-1] + [target[-1] + Rat(1, 10**30)])
+
+
+def test_solve_exact_takes_integer_columns_as_they_are():
+    # A column with integer numerators over one denominator (a QSeries) gives
+    # the same solution and the same row check as its rational entries.
+    cols = [QSeries([Rat(1, 7)] * 40), QSeries([Rat(i, 6) for i in range(40)]), QSeries([Rat(i * i, 5) for i in range(40)])]
+    sol = [2, Rat(-1, 3), Rat(5, 11)]
+    target = QSeries([sum(c * x for c, x in zip(row, sol)) for row in zip(*(c.coeffs for c in cols))])
+    assert solve_exact(cols, target) == solve_exact([list(c.coeffs) for c in cols], list(target.coeffs)) == sol
+    off = QSeries(list(target.coeffs[:-1]) + [target[39] + Rat(1, 10**30)])
+    with pytest.raises(InconsistentSystem, match="residual at row 39"):
+        solve_exact(cols, off)

@@ -332,6 +332,19 @@ def test_cli_input_contract_exits_2_with_one_line(argv, prec_env, capsys, monkey
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["expand", "-E4"], ["basis", "--prec", "20", "-E4*E6"]])
+def test_cli_expression_read_as_option_names_the_dashdash_form(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.strip().splitlines()) == 1
+    stray = argv[-1]
+    assert err.startswith(f"error: {stray} was read as an option")
+    assert f"tauforms {argv[0]} -- {stray}" in err
+    main([argv[0], *argv[1:-1], "--", stray])  # the form it names parses and runs
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["expand", "-h"]])
 def test_cli_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
-"""The integer kernels: pinned tau table, Hecke relations, sieve references, int64 bounds."""
+"""The integer kernels: pinned tau table, Hecke relations, sparse and sieve references, int64 and FFT bounds."""
 
 import hashlib
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, prod, sqrt
 
 import numpy as np
 import pytest
@@ -71,12 +71,126 @@ def test_sigma_range_matches_slice_sieve(a, nmax):
     assert np.array_equal(table, _slice_sieve(a, nmax))
 
 
-def test_int64_bounds_hold_up_to_max_prec():
-    exps, coeffs = _kernels.jacobi_terms(_kernels._MAX_PREC)
-    k = len(exps)
-    assert int(np.abs(coeffs).sum()) == k * k
-    # eta24_modp: every partial sum of the convolution stays below 2^61 < 2^63
-    assert k * k * max(_kernels._PRIMES) < 2**61
+def _eta24_sparse(prec, p):
+    """The reference: prod(1-q^n)^24 mod p as seven sparse products by the Jacobi cube."""
+    exps, coeffs = _kernels.jacobi_terms(prec)
+    res = np.zeros(prec, dtype=np.int64)
+    res[exps] = coeffs % p
+    acc = np.empty(prec, dtype=np.int64)
+    buf = np.empty(prec, dtype=np.int64)
+    terms = list(zip(exps.tolist(), coeffs.tolist()))[1:]  # the q^0 term is 1
+    for _ in range(7):
+        acc[:] = res
+        for e, c in terms:
+            n = prec - e
+            np.multiply(res[:n], c, out=buf[:n])
+            np.add(acc[e:], buf[:n], out=acc[e:])
+        np.remainder(acc, p, out=res)
+    return res
+
+
+@pytest.mark.parametrize("prec", [1, 2, 3, 10, 5000, 6075])
+def test_eta24_modp_matches_the_sparse_loop(prec):
+    residues = _kernels.eta24_modp(prec)
+    assert len(residues) == len(_kernels._PRIMES)
+    for p, r in zip(_kernels._PRIMES, residues):
+        assert r.dtype == np.int64
+        assert np.array_equal(r, _eta24_sparse(prec, p)), p
+
+
+def test_transform_lengths_are_least_5_smooth():
+    def smooth(m):
+        for q in (2, 3, 5):
+            while m % q == 0:
+                m //= q
+        return m == 1
+
+    for n in range(1, 3000):
+        size = _kernels._smooth_len(n)
+        assert size >= n and smooth(size) and not any(smooth(m) for m in range(n, size))
+    assert _kernels._smooth_len(2 * 6075 - 1) == 12150  # 2 3^5 5^2, not a power of two
+
+
+def _perturb_irfft(monkeypatch, which, delta):
+    """Add ``delta`` to one entry of the ``which``-th inverse transform's output."""
+    real = np.fft.irfft
+    seen = []
+
+    def irfft(*args, **kwargs):
+        c = real(*args, **kwargs)
+        seen.append(len(seen))
+        if seen[-1] == which:
+            c[len(c) // 3] += delta
+        return c
+
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    return seen
+
+
+# eta^6, eta^12 and eta^24 take 1, 3 and 7 inverse transforms.
+@pytest.mark.parametrize("which", range(11))
+def test_fft_guard_raises_off_an_integer(monkeypatch, which):
+    seen = _perturb_irfft(monkeypatch, which, 0.3)
+    with pytest.raises(ArithmeticError, match="off an integer"):
+        _kernels.tau_numbers(300)
+    assert len(seen) == which + 1  # raised at the perturbed transform; nothing was retried
+
+
+@pytest.mark.parametrize("which", range(11))
+def test_fft_evaluation_check_raises_on_an_integer_error(monkeypatch, which):
+    seen = _perturb_irfft(monkeypatch, which, 1.0)
+    with pytest.raises(ArithmeticError, match="fails its check"):
+        _kernels.tau_numbers(300)
+    # raised when the square holding the perturbed transform ends, at 1, 4 or 11
+    assert len(seen) == next(end for end in (1, 4, 11) if end > which)
+
+
+@pytest.fixture(scope="module")
+def divisor_counts():
+    """d(n) for n <= 4 _MAX_PREC, by the divisor-pair sieve."""
+    nmax = 4 * _kernels._MAX_PREC
+    count = np.zeros(nmax + 1, dtype=np.int32)
+    for d in range(1, isqrt(nmax) + 1):
+        count[d * (d + 1) :: d] += 2
+        count[d * d] += 1
+    return count
+
+
+def _worst_limb_sum(bound, count, bits):
+    """A bound on every limb-degree sum of the square of a series with |a[t]| <= bound[t].
+
+    Balanced limbs are below 2^(bits-1) except the top one, below
+    bound / 2^(bits (count-1)) + 1; each sum_t a_i[t] a_j[n-t] is at most
+    ||a_i|| ||a_j|| by Cauchy-Schwarz.
+    """
+    n = len(bound)
+    norms = [2 ** (bits - 1) * sqrt(n)] * (count - 1)
+    norms.append(float(np.linalg.norm(bound / 2 ** (bits * (count - 1)) + 1)))
+    return max(
+        sum(norms[i] * norms[k - i] for i in range(max(0, k - count + 1), min(k, count - 1) + 1))
+        for k in range(2 * count - 1)
+    )
+
+
+def test_int64_bounds_hold_up_to_max_prec(divisor_counts):
+    nmax = _kernels._MAX_PREC
+    # Deligne: eta(4z)^6 in S_3(16, chi_-4) and eta(2z)^12 in S_6(4) are
+    # newforms, so the q^m coefficient of prod(1-q^n)^6 is at most
+    # d(4m+1) (4m+1), and that of prod(1-q^n)^12 at most d(2m+1) (2m+1)^(5/2).
+    m = np.arange(nmax, dtype=np.float64)
+    eta6 = divisor_counts[1::4][:nmax] * (4 * m + 1)
+    eta12 = divisor_counts[1::2][:nmax] * (2 * m + 1) ** 2.5
+    assert eta6.max() < 2**30
+    assert eta12.max() < 2**59  # eta^12 is combined in int64, wrapping, and fits
+    exps, coeffs = _kernels.jacobi_terms(nmax)
+    eta3 = np.zeros(nmax)
+    eta3[exps] = np.abs(coeffs)
+    # Every limb-degree sum of the three FFT squares is an integer below
+    # 2^48 < 2^53, so float64 holds it exactly and the guard can round it.
+    for bound, count, bits in ((eta3, 1, 0), (eta6, 2, 12), (eta12, 4, 14)):
+        assert _worst_limb_sum(bound, count, bits) < 2**48
+    # Horner steps: a residue below 2^40 shifted by 14 bits plus a limb-degree sum
+    assert (max(_kernels._PRIMES) << 14) + 2**53 < 2**63
     # _mulmod: residues below 2^40 times a 20-bit half, then the reduced sum
     assert all(p < 2**40 for p in _kernels._PRIMES)
     assert ((2**40 - 1) << 20) + (2**40 - 1) * (2**20 - 1) < 2**61
@@ -84,10 +198,5 @@ def test_int64_bounds_hold_up_to_max_prec():
     assert prod(_kernels._PRIMES) ** 2 > (2 * 240) ** 2 * _kernels._MAX_PREC**11
 
 
-def test_divisor_count_bound_used_by_the_crt_width():
-    nmax = _kernels._MAX_PREC
-    count = np.zeros(nmax + 1, dtype=np.int64)
-    for d in range(1, isqrt(nmax) + 1):
-        count[d * (d + 1) :: d] += 2
-        count[d * d] += 1
-    assert count.max() == 240
+def test_divisor_count_bound_used_by_the_crt_width(divisor_counts):
+    assert divisor_counts[: _kernels._MAX_PREC + 1].max() == 240
