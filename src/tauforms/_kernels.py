@@ -1,36 +1,41 @@
 """Hot numeric kernels: divisor-sum sieves and the eta-product squarings.
 
 ``eta24_modp`` builds prod(1-q^n)^24 = f^8 from f = prod(1-q^n)^3 (Jacobi's
-identity) by three squarings in float64 FFTs, each exact: the operand is
-split into balanced limbs, so that every limb-degree sum of the square is an
-integer float64 holds exactly.  The squarings are shared by the three primes
-below 2^40, and exact big-integer tau values are recovered by Garner's
-mixed-radix CRT (Knuth, TAOCP vol. 2, 4.3.2) in :func:`tau_numbers`.  Static
-bounds, checked by ``tests/test_kernels.py``, hold for every table up to
-``_MAX_PREC``:
+identity).  f^2 = eta^6 is summed exactly in int64 from the pairs of Jacobi
+terms, and f^4 and f^8 come from two squarings in float64 FFTs, each exact:
+the operand is split into balanced limbs, so that every limb-degree sum of
+the square is an integer float64 holds exactly.  The squarings are shared by
+the three primes below 2^40, and exact big-integer tau values are recovered
+by Garner's mixed-radix CRT (Knuth, TAOCP vol. 2, 4.3.2) in
+:func:`tau_numbers`.  Static bounds, checked by ``tests/test_kernels.py``,
+hold for every table up to ``_MAX_PREC``:
 
-* **Magnitudes.**  |f| <= 2827.  By Deligne's bound for the newforms
-  eta(4z)^6 (weight 3) and eta(2z)^12 (weight 6), the coefficients of f^2 are
-  below 2^30 and those of f^4 below 2^59, so f^4 fits int64.
-* **Limb sums.**  f is squared whole, f^2 in two balanced 12-bit limbs and
-  f^4 in four balanced 14-bit limbs; by Cauchy-Schwarz every limb-degree sum
-  is below 2^48 < 2^53.
+* **Magnitudes.**  f has at most 1414 terms, each at most 2827 in absolute
+  value, so every partial sum of the pairs that make f^2 is below
+  1414 * 2827^2 < 2^34.  By Deligne's bound for the newforms eta(4z)^6
+  (weight 3) and eta(2z)^12 (weight 6), the coefficients of f^2 are below
+  2^30 and those of f^4 below 2^59, so f^4 fits int64.
+* **Limb sums.**  f^2 is squared in two balanced 12-bit limbs and f^4 in
+  four balanced 14-bit limbs; by Cauchy-Schwarz every limb-degree sum is
+  below 2^48 < 2^53.
 * **Horner.**  Each limb degree of f^8 is folded into a residue below 2^40
   as ``(r << 14) + c``, below 2^55.
 * **Mulmod.**  :func:`_mulmod` multiplies residues below 2^40 by a factor
   split into 20-bit halves: each product is below 2^60, and the sum it
-  reduces, ``(x * hi mod p) * 2^20 + x * lo``, below 2^61.
+  reduces, ``(x * hi mod p) * 2^20 + x * lo``, below 2^61.  A block of the
+  point check sums at most 1415 such residues, below 2^51.
 * **CRT width.**  ``prod p ~ 2^120`` exceeds ``2 * 240 * _MAX_PREC^5.5 ~ 2^118.5``,
   twice the Deligne bound ``d(n) n^5.5`` with d(n) <= 240 for n <= 10^6, so
   the signed reconstruction of tau(n) is exact.
 
 The worst-case error bounds for float FFTs (C. Percival, Math. Comp. 72,
 2003) cover radix-2 lengths only, and the transforms here have 5-smooth
-lengths, so exactness is checked after the fact on every run: each inverse
-transform must lie within 1/4 of integers (the largest distance seen at
-``_MAX_PREC`` is 1.4e-4), and each full square must match the square of its
-operand at one point mod ``_PRIMES[0]``.  A failure raises ArithmeticError;
-there is no other path.
+lengths, so exactness is checked after the fact on every run: each of the
+ten inverse transforms must lie within 1/4 of integers (the largest distance
+seen at ``_MAX_PREC`` is 1.4e-4), and each full square must match the square
+of its operand at one point mod ``_PRIMES[0]``, evaluated by blocks of about
+sqrt(n) coefficients.  A failure raises ArithmeticError; there is no other
+path.
 """
 
 from __future__ import annotations
@@ -87,16 +92,25 @@ def _mulmod(x: np.ndarray, c, p: int) -> np.ndarray:
     return ((((x * hi) % p) << 20) + x * lo) % p
 
 
-def _agrees_at_point(full: np.ndarray, a: np.ndarray, p: int) -> bool:
-    """Whether full(x) == a(x)^2 mod p at x = ``_EVAL_POINT``, for int64 coefficient arrays."""
-    pw = np.ones(len(full), dtype=np.int64)
-    k = 1
-    while k < len(pw):
-        m = min(k, len(pw) - k)
-        pw[k : k + m] = _mulmod(pw[:m], pow(_EVAL_POINT, k, p), p)
-        k += m
-    at_full, at_a = (int(_mulmod(v % p, pw[: len(v)], p).sum()) % p for v in (full, a))
-    return at_full == at_a * at_a % p
+def _at_point(v: np.ndarray, p: int) -> int:
+    """v(x) mod p at x = ``_EVAL_POINT``, for an int64 coefficient array v, by blocks.
+
+    v is cut into blocks of ``block`` = ceil(sqrt(len(v))) coefficients: one
+    table of x^0..x^(block-1) evaluates every block at once, and a Horner in
+    x^block over the block values completes the sum.
+    """
+    n = len(v)
+    block = isqrt(n - 1) + 1
+    pw = [1]
+    for _ in range(block - 1):
+        pw.append(pw[-1] * _EVAL_POINT % p)
+    rows = np.zeros(-(-n // block) * block, dtype=np.int64)
+    np.remainder(v, p, out=rows[:n])
+    sums = _mulmod(rows.reshape(-1, block), np.array(pw, dtype=np.int64), p).sum(axis=1)
+    step, out = pow(_EVAL_POINT, block, p), 0
+    for s in reversed(sums.tolist()):
+        out = (out * step + s) % p
+    return out
 
 
 def _square(a: np.ndarray, count: int, bits: int, size: int) -> Iterator[np.ndarray]:
@@ -108,7 +122,8 @@ def _square(a: np.ndarray, count: int, bits: int, size: int) -> Iterator[np.ndar
     is yielded as int64, in a buffer that the next degree overwrites.  It must
     lie within 1/4 of an integer everywhere, and, once every degree has been
     consumed, the full square must agree with a(x)^2 at one point mod
-    ``_PRIMES[0]``; either failure raises ArithmeticError.
+    ``_PRIMES[0]`` (both sides evaluated by blocks, :func:`_at_point`); either
+    failure raises ArithmeticError.
     """
     from numpy.fft import irfft, rfft
 
@@ -142,28 +157,34 @@ def _square(a: np.ndarray, count: int, bits: int, size: int) -> Iterator[np.ndar
         np.remainder(full, p, out=full)
         yield ck
     del spectra, spec, r
-    if not _agrees_at_point(full, a, p):
+    if _at_point(full, p) != _at_point(a, p) ** 2 % p:
         raise ArithmeticError(f"FFT square fails its check mod {p} (length {size})")
 
 
-def eta24_modp(prec: int) -> np.ndarray:
-    """Coefficients of prod(1-q^n)^24 mod each of ``_PRIMES`` (one row each), from three exact squarings.
+def _eta6(prec: int) -> np.ndarray:
+    """Coefficients of prod(1-q^n)^6 = f^2 below q^prec, summed exactly in int64
+    from the pairs of Jacobi terms of f (see :func:`jacobi_terms`)."""
+    exps, coeffs = jacobi_terms(prec)
+    out = np.zeros(prec, dtype=np.int64)
+    for e, c in zip(exps.tolist(), coeffs.tolist()):
+        k = int(np.searchsorted(exps, prec - e))  # the terms j with e + e_j < prec
+        out[e + exps[:k]] += c * coeffs[:k]
+    return out
 
-    f = prod(1-q^n)^3 comes from Jacobi's identity; f^2, f^4 and f^8 are
+
+def eta24_modp(prec: int) -> np.ndarray:
+    """Coefficients of prod(1-q^n)^24 mod each of ``_PRIMES`` (one row each).
+
+    eta^6 = f^2 is exact in int64 (:func:`_eta6`); eta^12 and eta^24 are
     squared by float FFT (see the module docstring for the bounds and checks).
     The last square is never held whole: each of its limb degrees is folded
     into one Horner sum per prime.
     """
-    exps, coeffs = jacobi_terms(prec)
     size = _smooth_len(2 * prec - 1)
-    a = np.zeros(prec, dtype=np.int64)
-    a[exps] = coeffs
-    for count, bits in ((1, 0), (2, 12)):  # eta^6 = f^2, then eta^12 = (f^2)^2
-        sq = np.zeros(prec, dtype=np.int64)
-        for ck in _square(a, count, bits, size):
-            sq <<= bits  # wraps mod 2^64, exact because the truncated square fits int64
-            sq += ck[:prec]
-        a = sq
+    a = np.zeros(prec, dtype=np.int64)  # eta^12 = (eta^6)^2
+    for ck in _square(_eta6(prec), 2, 12, size):
+        a <<= 12  # wraps mod 2^64, exact because the truncated square fits int64
+        a += ck[:prec]
     res = np.zeros((len(_PRIMES), prec), dtype=np.int64)
     for ck in _square(a, 4, 14, size):
         head = ck[:prec]

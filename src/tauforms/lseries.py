@@ -133,26 +133,39 @@ def _weights(s: int, umax: int, guard: int) -> list[int]:
         return w
 
 
-def _dot(sig: list[int], w: list[int], shift: int, n_weight: bool) -> tuple[int, int, int]:
+def _dot(
+    sig: list[int], w: list[int], shift: int, n_weight: bool, envelope: bool
+) -> tuple[int, int, int | None]:
     """Exact sum over n = 1..T of sig[n-1] w[shift + n], times n when ``n_weight``.
 
     ``sig`` holds sigma_a(1..T).  Returns the sum, the rounding weight (the
     same sum with every w replaced by 1, which bounds the flooring error of
-    the w in units of 2^-G), and the largest |term| over n >= max(1, T // 10).
+    the w in units of 2^-G), and, only when ``envelope`` is set, the largest
+    |term| over n >= max(1, T // 10); otherwise None, and no list of terms is
+    built.
     """
     T = len(sig)
     if n_weight:
         sig = list(map(mul, sig, range(1, T + 1)))
-    terms = list(map(mul, sig, islice(w, shift + 1, shift + T + 1)))
-    envelope = max(map(abs, islice(terms, max(1, T // 10) - 1, None)))
-    return sum(terms), sum(sig), envelope
+    w_slice = islice(w, shift + 1, shift + T + 1)
+    if not envelope:
+        return sum(map(mul, sig, w_slice)), sum(sig), None
+    terms = list(map(mul, sig, w_slice))
+    return sum(terms), sum(sig), max(map(abs, islice(terms, max(1, T // 10) - 1, None)))
 
 
-def _fixed_sum(a: int, s: int, shift: int, cutoff: int, prec: int, n_weight: bool = False):
-    """The shifted sum at ``prec`` bits: (value, err_round, envelope) as mpf."""
+def _fixed_sum(
+    a: int, s: int, shift: int, cutoff: int, prec: int, n_weight: bool = False, envelope: bool = False
+):
+    """The shifted sum at ``prec`` bits: (value, err_round, envelope) as mpf.
+
+    The envelope, the largest |term| over T/10 <= n <= T (see :func:`_dot`),
+    is computed only when ``envelope`` is set, for the uncertified tails of
+    ``shifted_L``; otherwise it is None.
+    """
     guard = prec + _GUARD_BITS
-    acc, weight, envelope = _dot(
-        _sigma(a, cutoff)[1 : cutoff + 1], _weights(s, shift + cutoff, guard), shift, n_weight
+    acc, weight, top = _dot(
+        _sigma(a, cutoff)[1 : cutoff + 1], _weights(s, shift + cutoff, guard), shift, n_weight, envelope
     )
     # Rounding acc to prec bits loses at most half an ulp: 2^(excess - 1) units.
     excess = abs(acc).bit_length() - prec
@@ -160,7 +173,8 @@ def _fixed_sum(a: int, s: int, shift: int, cutoff: int, prec: int, n_weight: boo
     with mp.workprec(max(prec, err_units.bit_length())):
         err_round = mp.ldexp(mp.mpf(err_units), -guard)  # exact
     with mp.workprec(prec):
-        return mp.ldexp(mp.mpf(acc), -guard), err_round, mp.ldexp(mp.mpf(envelope), -guard)
+        top = None if top is None else mp.ldexp(mp.mpf(top), -guard)
+        return mp.ldexp(mp.mpf(acc), -guard), err_round, top
 
 
 def _certified_tail(m: int, a: int, s: int, cutoff: int, n_weight: bool):
@@ -192,9 +206,9 @@ def shifted_L(query: LQuery) -> LResult:
     if query.m == 0:
         raise ValueError("m = 0 has no tau(m) normalization; use lvalue_m0")
     m, a, s, T, prec = query.m, query.a, query.s, query.cutoff, query.prec_bits
-    partial, err_round, envelope = _fixed_sum(a, s, m, T, prec, query.n_weight)
     with mp.workprec(prec):
         certified = _certified_tail(m, a, s, T, query.n_weight) if s >= 10 else None
+        partial, err_round, envelope = _fixed_sum(a, s, m, T, prec, query.n_weight, certified is None)
         if certified is not None:
             return LResult(partial, certified, True, T, err_round)
         return LResult(partial, 10 * envelope, False, T, err_round)

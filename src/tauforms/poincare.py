@@ -355,14 +355,21 @@ def catalog_identity(ident: str) -> TauIdentity:
     raise ValueError(f"unknown identity id {ident!r}; known: {[e.ident for e in _CATALOG]}")
 
 
-def identity_stream(entry: TauIdentity, m: int, cutoff: int) -> tuple[Rat, ...]:
+def identity_relation(entry: TauIdentity, m: int, cutoff: int) -> TauRelation:
     """The identity rewritten as 0 = sum_n c_n P_{12,m+n}: c_0 = m^11 and
-    c_n = -prefactor(m) sigma_a(n) (m+n)^{11-s}."""
+    c_n = -prefactor(m) sigma_a(n) (m+n)^{11-s}, as integers over one denominator."""
     pref = entry.prefactor(m)
     p, q = -pref.numerator, pref.denominator
     sig = sigma_sieve(entry.a, cutoff)
     e = 11 - entry.s
-    return (Rat(m) ** 11,) + tuple(Rat(p * sig[n] * (m + n) ** e, q) for n in range(1, cutoff + 1))
+    num = (m**11 * q, *(p * sig[n] * (m + n) ** e for n in range(1, cutoff + 1)))
+    g = gcd(q, *num)
+    return TauRelation(m, tuple(x // g for x in num), q // g, origin=entry.description)
+
+
+def identity_stream(entry: TauIdentity, m: int, cutoff: int) -> tuple[Rat, ...]:
+    """The coefficients c_0..c_cutoff of :func:`identity_relation` as rationals."""
+    return identity_relation(entry, m, cutoff).coeffs
 
 
 # Which vanishing relations each identity is eliminated from.
@@ -398,4 +405,4 @@ def derive_identity(ident: str, m: int, cutoff: int = 200) -> list[Rat]:
     does not lie in the span (which would falsify the catalog).
     """
     entry = catalog_identity(ident)
-    return solve_exact([b(m, cutoff) for b in _DERIVATIONS[ident]], identity_stream(entry, m, cutoff))
+    return solve_exact([b(m, cutoff) for b in _DERIVATIONS[ident]], identity_relation(entry, m, cutoff))

@@ -98,6 +98,43 @@ def test_eta24_modp_matches_the_sparse_loop(prec):
         assert np.array_equal(r, _eta24_sparse(prec, p)), p
 
 
+def _jacobi_product(prec):
+    """f^2 below q^prec as a Python-int product of the Jacobi series f = eta^3."""
+    exps, coeffs = _kernels.jacobi_terms(prec)
+    terms = list(zip(exps.tolist(), coeffs.tolist()))
+    out = [0] * prec
+    for e, c in terms:
+        for f, d in terms:
+            if e + f < prec:
+                out[e + f] += c * d
+    return out
+
+
+@pytest.mark.parametrize("prec", [1, 2, 3, 10, 5000, 6075])
+def test_eta6_is_the_square_of_the_jacobi_series(prec):
+    eta6 = _kernels._eta6(prec)
+    assert eta6.dtype == np.int64
+    assert eta6.tolist() == _jacobi_product(prec)
+
+
+def _horner(v, p):
+    out = 0
+    for c in reversed(v):
+        out = (out * _kernels._EVAL_POINT + c) % p
+    return out
+
+
+# A block is ceil(sqrt(n)) long: 100^2 - 1 and 100^2 end on a partial and a
+# full block of 100, 100^2 + 1 starts blocks of 101; 202,500 is the length
+# of the transforms of tau_numbers(100000).
+@pytest.mark.parametrize("n", [1, 2, 100**2 - 1, 100**2, 100**2 + 1, 202_500])
+def test_at_point_matches_a_python_horner(n):
+    p = _kernels._PRIMES[0]
+    v = np.random.default_rng(n).integers(-(2**62), 2**62, size=n, dtype=np.int64)
+    v[:3] = [2**63 - 1, -(2**63), 0][:n]
+    assert _kernels._at_point(v, p) == _horner(v.tolist(), p)
+
+
 def test_transform_lengths_are_least_5_smooth():
     def smooth(m):
         for q in (2, 3, 5):
@@ -127,8 +164,8 @@ def _perturb_irfft(monkeypatch, which, delta):
     return seen
 
 
-# eta^6, eta^12 and eta^24 take 1, 3 and 7 inverse transforms.
-@pytest.mark.parametrize("which", range(11))
+# eta^12 and eta^24 take 3 and 7 inverse transforms; eta^6 is exact in int64.
+@pytest.mark.parametrize("which", range(10))
 def test_fft_guard_raises_off_an_integer(monkeypatch, which):
     seen = _perturb_irfft(monkeypatch, which, 0.3)
     with pytest.raises(ArithmeticError, match="off an integer"):
@@ -136,13 +173,13 @@ def test_fft_guard_raises_off_an_integer(monkeypatch, which):
     assert len(seen) == which + 1  # raised at the perturbed transform; nothing was retried
 
 
-@pytest.mark.parametrize("which", range(11))
+@pytest.mark.parametrize("which", range(10))
 def test_fft_evaluation_check_raises_on_an_integer_error(monkeypatch, which):
     seen = _perturb_irfft(monkeypatch, which, 1.0)
     with pytest.raises(ArithmeticError, match="fails its check"):
         _kernels.tau_numbers(300)
-    # raised when the square holding the perturbed transform ends, at 1, 4 or 11
-    assert len(seen) == next(end for end in (1, 4, 11) if end > which)
+    # raised when the square holding the perturbed transform ends, at 3 or 10
+    assert len(seen) == next(end for end in (3, 10) if end > which)
 
 
 @pytest.fixture(scope="module")
@@ -182,18 +219,22 @@ def test_int64_bounds_hold_up_to_max_prec(divisor_counts):
     eta12 = divisor_counts[1::2][:nmax] * (2 * m + 1) ** 2.5
     assert eta6.max() < 2**30
     assert eta12.max() < 2**59  # eta^12 is combined in int64, wrapping, and fits
+    # eta^6 is summed in int64 from pairs of Jacobi terms: every partial sum
+    # is at most (number of terms) max|c|^2 < 2^34, far below 2^63.
     exps, coeffs = _kernels.jacobi_terms(nmax)
-    eta3 = np.zeros(nmax)
-    eta3[exps] = np.abs(coeffs)
-    # Every limb-degree sum of the three FFT squares is an integer below
+    assert len(coeffs) * int(np.abs(coeffs).max()) ** 2 < 2**34
+    # Every limb-degree sum of the two FFT squares is an integer below
     # 2^48 < 2^53, so float64 holds it exactly and the guard can round it.
-    for bound, count, bits in ((eta3, 1, 0), (eta6, 2, 12), (eta12, 4, 14)):
+    for bound, count, bits in ((eta6, 2, 12), (eta12, 4, 14)):
         assert _worst_limb_sum(bound, count, bits) < 2**48
     # Horner steps: a residue below 2^40 shifted by 14 bits plus a limb-degree sum
     assert (max(_kernels._PRIMES) << 14) + 2**53 < 2**63
     # _mulmod: residues below 2^40 times a 20-bit half, then the reduced sum
     assert all(p < 2**40 for p in _kernels._PRIMES)
     assert ((2**40 - 1) << 20) + (2**40 - 1) * (2**20 - 1) < 2**61
+    # Point check: a block of ceil(sqrt(size)) reduced products sums below 2^51
+    size = _kernels._smooth_len(2 * nmax - 1)
+    assert (isqrt(size - 1) + 1) * (2**40 - 1) < 2**51
     # CRT width: prod p > 2 * 240 * MAX_PREC^5.5, compared in squares
     assert prod(_kernels._PRIMES) ** 2 > (2 * 240) ** 2 * _kernels._MAX_PREC**11
 

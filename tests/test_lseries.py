@@ -105,6 +105,34 @@ def test_envelope_tail_for_slow_exponents():
     assert res.tail_estimate > 0
 
 
+def _spy_dot(monkeypatch):
+    """Record the ``envelope`` flag of every ``lseries._dot`` call."""
+    asked, real = [], lseries._dot
+
+    def dot(*args):
+        asked.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(lseries, "_dot", dot)
+    return asked
+
+
+@pytest.mark.parametrize(
+    "query", [LQuery(1, 1, 11, 300), LQuery(2, 1, 10, 300), LQuery(3, 3, 11, 10_000, n_weight=True)]
+)
+def test_certified_tail_never_asks_for_the_envelope(monkeypatch, query):
+    asked = _spy_dot(monkeypatch)
+    res = shifted_L(query)
+    assert res.rigorous and asked == [False]
+
+
+def test_uncertified_tail_and_m0_values_ask_as_needed(monkeypatch):
+    asked = _spy_dot(monkeypatch)
+    res = shifted_L(LQuery(1, 1, 8, 300))
+    lvalue_m0(1, 8, 300)
+    assert not res.rigorous and asked == [True, False]
+
+
 def test_verify_identity_report_fields():
     rep = verify_identity("kumar", 1, tol=1e-6, cutoff=800)
     assert rep.identity_id == "kumar"
