@@ -4,44 +4,53 @@
 identity).  f^2 = eta^6 is summed exactly in int64 from the pairs of Jacobi
 terms, and f^4 and f^8 come from two squarings in float64 FFTs, each exact:
 the operand is split into balanced limbs, so that every limb-degree sum of
-the square is an integer float64 holds exactly.  The squarings are shared by
-the three primes below 2^40, and exact big-integer tau values are recovered
-by Garner's mixed-radix CRT (Knuth, TAOCP vol. 2, 4.3.2) in
-:func:`tau_numbers`.  Static bounds, checked by ``tests/test_kernels.py``,
+the square is an integer float64 holds exactly.  Each square takes the
+fewest limbs that its operand's limb norms allow (:func:`_limb_split`).  The
+limb degrees of f^8 are combined exactly into two int64 words per
+coefficient, and :func:`tau_numbers` assembles each tau value from them as
+``lo + (hi << 56)``.  Static bounds, checked by ``tests/test_kernels.py``,
 hold for every table up to ``_MAX_PREC``:
 
 * **Magnitudes.**  f has at most 1414 terms, each at most 2827 in absolute
   value, so every partial sum of the pairs that make f^2 is below
   1414 * 2827^2 < 2^34.  By Deligne's bound for the newforms eta(4z)^6
   (weight 3) and eta(2z)^12 (weight 6), the coefficients of f^2 are below
-  2^30 and those of f^4 below 2^59, so f^4 fits int64.
-* **Limb sums.**  f^2 is squared in two balanced 12-bit limbs and f^4 in
-  four balanced 14-bit limbs; by Cauchy-Schwarz every limb-degree sum is
-  below 2^48 < 2^53.
-* **Horner.**  Each limb degree of f^8 is folded into a residue below 2^40
-  as ``(r << 14) + c``, below 2^55.
-* **Mulmod.**  :func:`_mulmod` multiplies residues below 2^40 by a factor
-  split into 20-bit halves: each product is below 2^60, and the sum it
-  reduces, ``(x * hi mod p) * 2^20 + x * lo``, below 2^61.  A block of the
-  point check sums at most 1415 such residues, below 2^51.
-* **CRT width.**  ``prod p ~ 2^120`` exceeds ``2 * 240 * _MAX_PREC^5.5 ~ 2^118.5``,
-  twice the Deligne bound ``d(n) n^5.5`` with d(n) <= 240 for n <= 10^6, so
-  the signed reconstruction of tau(n) is exact.
+  2^30 and those of f^4 below 2^59, so f^4 fits int64; by Deligne's bound
+  for Delta, |tau(n)| <= d(n) n^5.5 < 2^118 with d(n) <= 240, so
+  hi = floor(tau / 2^56) fits int64.
+* **Limb sums.**  Every limb-degree sum is at most sum_{i+j=k} ||a_i|| ||a_j||
+  (Cauchy-Schwarz), bounded rigorously from the operand's own limbs and
+  held below 2^48 < 2^53 on every call.  For the Deligne worst case of f^4
+  at ``_MAX_PREC``, four limbs of 14 bits stay below 2^48, and the rule's
+  last try, one-bit limbs, keeps every sum below 59 * 4 * 10^6 for any
+  operand below 2^59.
+* **Words.**  A limb degree c_k (below 2^48) at bit offset s < 56 adds its
+  low 56 - s bits, shifted by s, to lo, and c_k >> (56 - s) to hi; one at
+  s >= 56 adds c_k << (s - 56) to hi.  lo sums at most 2 * count - 1 < 2^7
+  terms below 2^56 before its carry goes to hi; hi and f^4 are summed
+  modulo 2^64, which is exact because their final values fit int64.
+* **Point check.**  :func:`_mulmod` multiplies residues below 2^40 by a
+  factor split into 20-bit halves: each product is below 2^60, and the sum
+  it reduces, ``(x * hi mod p) * 2^20 + x * lo``, below 2^61.  A block of the
+  check sums at most 1415 such residues, below 2^51, and the square's
+  residue Horner shifts by at most 22 bits a step, below 2^62 + 2^48.
 
 The worst-case error bounds for float FFTs (C. Percival, Math. Comp. 72,
 2003) cover radix-2 lengths only, and the transforms here have 5-smooth
-lengths, so exactness is checked after the fact on every run: each of the
-ten inverse transforms must lie within 1/4 of integers (the largest distance
-seen at ``_MAX_PREC`` is 1.4e-4), and each full square must match the square
-of its operand at one point mod ``_PRIMES[0]``, evaluated by blocks of about
-sqrt(n) coefficients.  A failure raises ArithmeticError; there is no other
-path.
+lengths, so exactness is checked after the fact on every run: each inverse
+transform must lie within 1/4 of integers (the largest distances seen are
+1.3e-4 at n = 10^5 and 6.1e-5 at ``_MAX_PREC``), and each full square must
+match the square of its operand at one point mod ``_PRIMES[0]``, evaluated by
+blocks of about sqrt(n) coefficients.  A failure raises ArithmeticError;
+there is no other path.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import isqrt
+from itertools import repeat
+from math import ceil, isqrt
+from operator import add, lshift
 
 import numpy as np
 
@@ -50,13 +59,19 @@ _HAVE_NUMBA = False
 # The kernels below are the only ones; this flag stays False.
 USE_NUMBA = False
 
-# The three primes just below 2^40.
-_PRIMES = (1099511627689, 1099511627609, 1099511627581)
+# The point-check prime, just below 2^40.
+_PRIMES = (1099511627689,)
 _MAX_PREC = 1_000_000
 # Where each FFT square is checked mod _PRIMES[0]; any large residue serves.
 _EVAL_POINT = 0x9E3779B97F
-# Entries per CRT chunk; bounds the transient arrays and lists.
-_CRT_CHUNK = 4096
+# Every limb-degree sum of an FFT square stays below this (float64 holds 2^53).
+_LIMB_SUM = 1 << 48
+# Bits in the low word of a coefficient of eta^24.
+_WORD = 56
+# Entries per assembly chunk; bounds the transient lists.
+_CHUNK = 4096
+# Entries per block of :func:`_mod`; bounds its quotient buffer.
+_MOD_BLOCK = 1 << 16
 
 
 def jacobi_terms(prec: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,10 +101,29 @@ def _smooth_len(n: int) -> int:
     return best
 
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, into [0, p), for a contiguous int64 array x.
+
+    Computed as x - (x // p) p, because numpy divides by a scalar several
+    times faster than it takes a remainder, one block of ``_MOD_BLOCK``
+    entries at a time, so that the quotients need no table-sized buffer.
+    """
+    flat = x.reshape(-1)
+    for start in range(0, len(flat), _MOD_BLOCK):
+        v = flat[start : start + _MOD_BLOCK]
+        q = v // p
+        q *= p
+        v -= q
+    return x
+
+
 def _mulmod(x: np.ndarray, c, p: int) -> np.ndarray:
     """x * c mod p for residues x < 2^40 and 0 <= c < 2^40 (a constant or an array)."""
     hi, lo = divmod(c, 1 << 20)
-    return ((((x * hi) % p) << 20) + x * lo) % p
+    t = _mod(x * hi, p)
+    t <<= 20
+    t += x * lo
+    return _mod(t, p)
 
 
 def _at_point(v: np.ndarray, p: int) -> int:
@@ -105,7 +139,8 @@ def _at_point(v: np.ndarray, p: int) -> int:
     for _ in range(block - 1):
         pw.append(pw[-1] * _EVAL_POINT % p)
     rows = np.zeros(-(-n // block) * block, dtype=np.int64)
-    np.remainder(v, p, out=rows[:n])
+    rows[:n] = v
+    _mod(rows, p)
     sums = _mulmod(rows.reshape(-1, block), np.array(pw, dtype=np.int64), p).sum(axis=1)
     step, out = pow(_EVAL_POINT, block, p), 0
     for s in reversed(sums.tolist()):
@@ -113,30 +148,68 @@ def _at_point(v: np.ndarray, p: int) -> int:
     return out
 
 
-def _square(a: np.ndarray, count: int, bits: int, size: int) -> Iterator[np.ndarray]:
-    """The full square a * a, yielded as limb degrees from the highest down.
+def _balanced(a: np.ndarray, count: int, bits: int) -> Iterator[np.ndarray]:
+    """The ``count`` balanced limbs of ``a``, lowest first, each computed when asked for.
 
-    ``a`` is split into ``count`` balanced limbs of ``bits`` bits (the top one
-    takes the rest), so a * a = sum_k c_k 2^(bits k), c_k = sum_{i+j=k} a_i a_j.
-    Each c_k comes from one float ``irfft`` of length ``size`` >= 2 len(a) - 1 and
-    is yielded as int64, in a buffer that the next degree overwrites.  It must
-    lie within 1/4 of an integer everywhere, and, once every degree has been
-    consumed, the full square must agree with a(x)^2 at one point mod
+    a = sum_i a_i 2^(bits i), every limb but the top one in [-2^(bits-1), 2^(bits-1)),
+    and the top one takes the rest.
+    """
+    half, mask = (1 << bits) >> 1, (1 << bits) - 1
+    rest = a
+    for _ in range(count - 1):
+        limb = ((rest + half) & mask) - half
+        yield limb
+        rest = (rest - limb) >> bits
+    yield rest
+
+
+def _limb_split(a: np.ndarray) -> tuple[int, int]:
+    """The fewest balanced limbs (count, bits) of ``a`` whose square's limb-degree
+    sums are provably below ``_LIMB_SUM``.
+
+    For count = 1, 2, ... the limbs have bits = width // count bits (width is
+    the bit length of max |a|).  Every sum_t a_i[t] a_j[n-t] is at most
+    ||a_i|| ||a_j|| by Cauchy-Schwarz.  Each squared norm is a float64 sum of
+    squares raised by 2^-29 relative, above the rounding error (n + 2) 2^-53
+    of n <= 2^20 squares in any order, so it is an upper bound; the pair
+    products are then bounded in Python integers, so nothing overflows.
+    """
+    width = int(np.abs(a).max()).bit_length()
+    for count in range(1, width + 1):
+        bits = width // count
+        limbs = (limb.astype(np.float64) for limb in _balanced(a, count, bits))
+        # einsum, not a BLAS dot, whose worker threads spin on after each call
+        sq = [ceil(float(np.einsum("i,i->", x, x)) * (1 + 2**-29)) for x in limbs]
+        sums = (
+            sum(isqrt(sq[i] * sq[k - i]) + 1 for i in range(max(0, k - count + 1), min(k, count - 1) + 1))
+            for k in range(2 * count - 1)
+        )
+        if max(sums) < _LIMB_SUM:
+            return count, bits
+    raise ArithmeticError(f"no limb split keeps the square of a length-{len(a)} series below 2^48")
+
+
+def _square(a: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The full square a * a, yielded as (shift, c_k) from the highest limb degree down.
+
+    ``a`` is split into the ``count`` balanced limbs of ``bits`` bits that
+    :func:`_limb_split` picks, so a * a = sum_k c_k 2^(bits k) with
+    c_k = sum_{i+j=k} a_i a_j, and shift = bits k.  Each c_k comes from one
+    float ``irfft`` of length ``size`` >= 2 len(a) - 1 and is yielded as int64,
+    in a buffer that the caller may overwrite and the next degree does.  It
+    must lie within 1/4 of an integer everywhere, and, once every degree has
+    been consumed, the full square must agree with a(x)^2 at one point mod
     ``_PRIMES[0]`` (both sides evaluated by blocks, :func:`_at_point`); either
     failure raises ArithmeticError.
     """
     from numpy.fft import irfft, rfft
 
     p = _PRIMES[0]
-    half, mask = (1 << bits) >> 1, (1 << bits) - 1
+    count, bits = _limb_split(a)
+    target = _at_point(a, p) ** 2 % p
     spectra = np.empty((count, size // 2 + 1), dtype=np.complex128)
-    rest = a
-    for i in range(count - 1):
-        limb = ((rest + half) & mask) - half
-        rfft(limb, size, out=spectra[i])
-        rest = (rest - limb) >> bits
-    rfft(rest, size, out=spectra[-1])
-    del rest
+    for spectrum, limb in zip(spectra, _balanced(a, count, bits)):
+        rfft(limb, size, out=spectrum)
     spec, c = np.empty_like(spectra[0]), np.empty(size)
     # Once a degree is transformed, spec's memory holds it rounded and c's as int64.
     r, ck = spec.view(np.float64)[:size], c.view(np.int64)
@@ -152,12 +225,18 @@ def _square(a: np.ndarray, count: int, bits: int, size: int) -> Iterator[np.ndar
         if not dist < 0.25:
             raise ArithmeticError(f"FFT square off an integer by {dist:.3g} (length {size})")
         np.copyto(ck, r, casting="unsafe")
-        full <<= bits
+        # Horner in 2^bits mod p, at most 22 bits a step: (p << 22) + |c_k| < 2^63.
+        shift = bits
+        while shift > 22:
+            full <<= 22
+            _mod(full, p)
+            shift -= 22
+        full <<= shift
         full += ck
-        np.remainder(full, p, out=full)
-        yield ck
+        _mod(full, p)
+        yield bits * k, ck
     del spectra, spec, r
-    if _at_point(full, p) != _at_point(a, p) ** 2 % p:
+    if _at_point(full, p) != target:
         raise ArithmeticError(f"FFT square fails its check mod {p} (length {size})")
 
 
@@ -173,50 +252,53 @@ def _eta6(prec: int) -> np.ndarray:
 
 
 def eta24_modp(prec: int) -> np.ndarray:
-    """Coefficients of prod(1-q^n)^24 mod each of ``_PRIMES`` (one row each).
+    """Coefficients of prod(1-q^n)^24 below q^prec as two int64 rows (lo, hi):
+    the q^n coefficient is lo[n] + hi[n] 2^56, with 0 <= lo[n] < 2^56.
 
+    The name is historical: the rows were once residues mod three primes.
     eta^6 = f^2 is exact in int64 (:func:`_eta6`); eta^12 and eta^24 are
     squared by float FFT (see the module docstring for the bounds and checks).
-    The last square is never held whole: each of its limb degrees is folded
-    into one Horner sum per prime.
+    The last square is never held whole: each of its limb degrees is added
+    into the two words as it comes.
     """
     size = _smooth_len(2 * prec - 1)
     a = np.zeros(prec, dtype=np.int64)  # eta^12 = (eta^6)^2
-    for ck in _square(_eta6(prec), 2, 12, size):
-        a <<= 12  # wraps mod 2^64, exact because the truncated square fits int64
-        a += ck[:prec]
-    res = np.zeros((len(_PRIMES), prec), dtype=np.int64)
-    for ck in _square(a, 4, 14, size):
+    for shift, ck in _square(_eta6(prec), size):
         head = ck[:prec]
-        for r, p in zip(res, _PRIMES):
-            r <<= 14
-            r += head
-            np.remainder(r, p, out=r)
-    return res
+        head <<= shift  # wraps mod 2^64, exact because the truncated square fits int64
+        a += head
+    words = np.zeros((2, prec), dtype=np.int64)
+    lo, hi = words
+    for shift, ck in _square(a, size):
+        head = ck[:prec]
+        if shift >= _WORD:
+            head <<= shift - _WORD
+            hi += head  # wraps mod 2^64, exact because hi ends in int64
+        else:
+            hi += head >> (_WORD - shift)
+            head &= (1 << (_WORD - shift)) - 1
+            head <<= shift
+            lo += head
+    hi += lo >> _WORD
+    lo &= (1 << _WORD) - 1
+    return words
 
 
 def tau_numbers(nmax: int) -> list[int]:
-    """Exact tau(1..nmax) as Python ints, via CRT over the mod-p kernels.
+    """Exact tau(1..nmax) as Python ints, assembled from the two words of
+    :func:`eta24_modp` a chunk at a time.
 
     Entry 0 of the returned list is unused (set to 0).
     """
     if nmax < 1:
         return [0]
     if nmax > _MAX_PREC:
-        raise ValueError(f"tau table limited to {_MAX_PREC} (CRT width)")
-    p0, p1, p2 = _PRIMES
-    inv1, inv2, p01 = pow(p0, -1, p1), pow(p0 * p1, -1, p2), p0 * p1
-    residues = eta24_modp(nmax)
+        raise ValueError(f"tau table limited to {_MAX_PREC} (int64 Deligne bound of eta^12 and the two-word tau bound)")
+    lo, hi = eta24_modp(nmax)
     out = [0]
-    # Garner: x = r0 + p0 t1 + p0 p1 t2 with digits t1 mod p1, t2 mod p2, a
-    # chunk at a time, so that no table-sized temporaries appear.
-    for lo in range(0, nmax, _CRT_CHUNK):
-        r0, r1, r2 = (r[lo : lo + _CRT_CHUNK] for r in residues)
-        t1 = _mulmod((r1 - r0) % p1, inv1, p1)
-        t2 = _mulmod(((r2 - r0) % p2 - _mulmod(t1, p0 % p2, p2)) % p2, inv2, p2)
-        # Centre the top digit in (-p2/2, p2/2] so that tau(n) < 0 comes out negative.
-        t2 = (t2 + p2 // 2) % p2 - p2 // 2
-        out.extend(a + p0 * b + p01 * c for a, b, c in zip(r0.tolist(), t1.tolist(), t2.tolist()))
+    for start in range(0, nmax, _CHUNK):
+        stop = start + _CHUNK
+        out.extend(map(add, lo[start:stop].tolist(), map(lshift, hi[start:stop].tolist(), repeat(_WORD))))
     return out
 
 

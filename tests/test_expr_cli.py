@@ -297,6 +297,8 @@ def test_cli_usage_error_leaves_an_existing_csv_intact(argv, capsys, tmp_path):
         pytest.param(
             ["verify-tau", "--id", "kumar", "--m-from", "1", "--m-to", "1", "--cutoff", "0"], None, id="verify-cutoff-0"
         ),
+        # m + cutoff = 1000001: the tau table would pass the kernel's limit
+        pytest.param(_verify_tau(2, 2, "--cutoff", "999999"), None, id="verify-tau-table-beyond-limit"),
         pytest.param(["expand", "E4", "--prec", "-5"], None, id="expand-prec-negative"),
         pytest.param(["expand", "E4", "--prec", "0"], None, id="expand-prec-0"),
         pytest.param(["expand", "2/3", "--prec", "0"], None, id="expand-constant-prec-0"),

@@ -1,7 +1,9 @@
 """The integer kernels: pinned tau table, Hecke relations, sparse and sieve references, int64 and FFT bounds."""
 
 import hashlib
-from math import gcd, isqrt, prod, sqrt
+from itertools import accumulate
+from math import gcd, isqrt, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,13 +91,21 @@ def _eta24_sparse(prec, p):
     return res
 
 
+# The sparse loop runs mod each of these three primes below 2^40; their
+# product exceeds twice every |tau(n)| with n <= _MAX_PREC, so agreeing mod
+# all three is agreeing exactly.
+_REFERENCE_PRIMES = (1099511627689, 1099511627609, 1099511627581)
+
+
 @pytest.mark.parametrize("prec", [1, 2, 3, 10, 5000, 6075])
 def test_eta24_modp_matches_the_sparse_loop(prec):
-    residues = _kernels.eta24_modp(prec)
-    assert len(residues) == len(_kernels._PRIMES)
-    for p, r in zip(_kernels._PRIMES, residues):
-        assert r.dtype == np.int64
-        assert np.array_equal(r, _eta24_sparse(prec, p)), p
+    words = _kernels.eta24_modp(prec)
+    assert words.dtype == np.int64 and words.shape == (2, prec)
+    lo, hi = words.tolist()
+    assert all(0 <= w < 2**56 for w in lo)
+    exact = [w + (h << 56) for w, h in zip(lo, hi)]
+    for p in _REFERENCE_PRIMES:
+        assert [c % p for c in exact] == _eta24_sparse(prec, p).tolist(), p
 
 
 def _jacobi_product(prec):
@@ -148,6 +158,22 @@ def test_transform_lengths_are_least_5_smooth():
     assert _kernels._smooth_len(2 * 6075 - 1) == 12150  # 2 3^5 5^2, not a power of two
 
 
+# Splits with limbs wider than the 22-bit step of the check's Horner: two
+# limbs of 23 bits, two of 24 bits (the top degree's residue exceeds 2^39,
+# so one unstepped shift by 24 bits would overflow int64), one of 23 bits.
+@pytest.mark.parametrize("a", [[2**45 - 1, -(2**45), 12345, 7], [12345678 * 2**24 + 12345], [3, -(2**22), 5]])
+def test_square_of_a_wide_operand_is_exact(a):
+    v = np.array(a, dtype=np.int64)
+    assert _kernels._limb_split(v)[1] > 22
+    size = _kernels._smooth_len(2 * len(a) - 1)
+    square = [0] * size
+    for shift, ck in _kernels._square(v, size):
+        for t, c in enumerate(ck.tolist()):
+            square[t] += c << shift
+    want = [sum(a[i] * a[t - i] for i in range(len(a)) if 0 <= t - i < len(a)) for t in range(size)]
+    assert square == want
+
+
 def _perturb_irfft(monkeypatch, which, delta):
     """Add ``delta`` to one entry of the ``which``-th inverse transform's output."""
     real = np.fft.irfft
@@ -164,22 +190,52 @@ def _perturb_irfft(monkeypatch, which, delta):
     return seen
 
 
-# eta^12 and eta^24 take 3 and 7 inverse transforms; eta^6 is exact in int64.
-@pytest.mark.parametrize("which", range(10))
-def test_fft_guard_raises_off_an_integer(monkeypatch, which):
+def _limb_counts(n):
+    """The limb counts that the rule picks for the two FFT squares of tau_numbers(n)."""
+    real, counts = _kernels._limb_split, []
+
+    def spy(a):
+        count, bits = real(a)
+        counts.append(count)
+        return count, bits
+
+    with mock.patch.object(_kernels, "_limb_split", spy):
+        _kernels.tau_numbers(n)
+    return counts
+
+
+# tau_numbers(300) squares in 1 and 2 limbs, tau_numbers(100000) in 2 and 3:
+# together every limb count the rule picks up to 10^5.  A square of c limbs
+# runs 2c - 1 inverse transforms; each case perturbs one of them.
+_SPLITS = {n: _limb_counts(n) for n in (300, 100_000)}
+_TRANSFORMS = [
+    (n, which, list(accumulate(2 * c - 1 for c in counts)))
+    for n, counts in _SPLITS.items()
+    for which in range(sum(2 * c - 1 for c in counts))
+]
+
+
+def test_guard_cases_cover_limb_counts_one_to_three():
+    assert _SPLITS == {300: [1, 2], 100_000: [2, 3]}
+
+
+@pytest.mark.parametrize("case", range(len(_TRANSFORMS)))
+def test_fft_guard_raises_off_an_integer(monkeypatch, case):
+    n, which, _ = _TRANSFORMS[case]
     seen = _perturb_irfft(monkeypatch, which, 0.3)
     with pytest.raises(ArithmeticError, match="off an integer"):
-        _kernels.tau_numbers(300)
+        _kernels.tau_numbers(n)
     assert len(seen) == which + 1  # raised at the perturbed transform; nothing was retried
 
 
-@pytest.mark.parametrize("which", range(10))
-def test_fft_evaluation_check_raises_on_an_integer_error(monkeypatch, which):
+@pytest.mark.parametrize("case", range(len(_TRANSFORMS)))
+def test_fft_evaluation_check_raises_on_an_integer_error(monkeypatch, case):
+    n, which, ends = _TRANSFORMS[case]
     seen = _perturb_irfft(monkeypatch, which, 1.0)
     with pytest.raises(ArithmeticError, match="fails its check"):
-        _kernels.tau_numbers(300)
-    # raised when the square holding the perturbed transform ends, at 3 or 10
-    assert len(seen) == next(end for end in (3, 10) if end > which)
+        _kernels.tau_numbers(n)
+    # raised when the square holding the perturbed transform ends
+    assert len(seen) == next(end for end in ends if end > which)
 
 
 @pytest.fixture(scope="module")
@@ -225,19 +281,35 @@ def test_int64_bounds_hold_up_to_max_prec(divisor_counts):
     assert len(coeffs) * int(np.abs(coeffs).max()) ** 2 < 2**34
     # Every limb-degree sum of the two FFT squares is an integer below
     # 2^48 < 2^53, so float64 holds it exactly and the guard can round it.
-    for bound, count, bits in ((eta6, 2, 12), (eta12, 4, 14)):
-        assert _worst_limb_sum(bound, count, bits) < 2**48
-    # Horner steps: a residue below 2^40 shifted by 14 bits plus a limb-degree sum
-    assert (max(_kernels._PRIMES) << 14) + 2**53 < 2**63
+    # The rule takes the fewest limbs that keep them there on the actual
+    # operand.  For the Deligne worst case of either square at _MAX_PREC, the
+    # rule's split into 4 limbs (of width // 4 bits) already does.
+    for bound in (eta6, eta12):
+        width = int(bound.max()).bit_length()
+        assert _worst_limb_sum(bound, 4, width // 4) < _kernels._LIMB_SUM
+    # The rule cannot run out of limbs: its last try, width limbs of 1 bit
+    # (limbs in {-1, 0}, the top one in [-1, 2]), keeps every sum below
+    # width * 2^2 n for any operand below 2^59 of length n <= _MAX_PREC.
+    assert 59 * 4 * nmax < _kernels._LIMB_SUM
+    # Words: lo gathers at most 2c - 1 pieces below 2^56 before its carry,
+    # with c <= 59 limbs, and the highest limb degree, at bit (59 // c) (2c - 2),
+    # goes to hi by a shift below 64, which numpy computes modulo 2^64.
+    word = _kernels._WORD
+    assert (2 * 59 - 1) * 2**word < 2**63
+    assert max((59 // c) * (2 * c - 2) for c in range(1, 60)) - word < 64
+    # hi = floor(tau / 2^56) fits int64: |tau(n)| <= d(n) n^5.5 <= 240 n^5.5 < 2^118,
+    # compared in squares.
+    assert 240**2 * nmax**11 < 2 ** (2 * 118) and 118 - word < 63
+    # Point check: the square's residue Horner shifts a residue below 2^40 by
+    # at most 22 bits and adds a limb-degree sum.
+    p = _kernels._PRIMES[0]
+    assert p < 2**40 and ((p - 1) << 22) + _kernels._LIMB_SUM < 2**63
     # _mulmod: residues below 2^40 times a 20-bit half, then the reduced sum
-    assert all(p < 2**40 for p in _kernels._PRIMES)
     assert ((2**40 - 1) << 20) + (2**40 - 1) * (2**20 - 1) < 2**61
-    # Point check: a block of ceil(sqrt(size)) reduced products sums below 2^51
+    # A block of ceil(sqrt(size)) reduced products sums below 2^51
     size = _kernels._smooth_len(2 * nmax - 1)
     assert (isqrt(size - 1) + 1) * (2**40 - 1) < 2**51
-    # CRT width: prod p > 2 * 240 * MAX_PREC^5.5, compared in squares
-    assert prod(_kernels._PRIMES) ** 2 > (2 * 240) ** 2 * _kernels._MAX_PREC**11
 
 
-def test_divisor_count_bound_used_by_the_crt_width(divisor_counts):
+def test_divisor_count_bound_used_by_the_word_bound(divisor_counts):
     assert divisor_counts[: _kernels._MAX_PREC + 1].max() == 240
