@@ -7,7 +7,8 @@ the operand is split into balanced limbs, so that every limb-degree sum of
 the square is an integer float64 holds exactly.  Each square takes the
 fewest limbs that its operand's limb norms allow (:func:`_limb_split`).  The
 limb degrees of f^8 are combined exactly into two int64 words per
-coefficient, and :func:`tau_numbers` assembles each tau value from them as
+coefficient; :func:`tau_words` keeps them as the tau table, and
+:func:`tau_numbers` assembles each tau value from them as
 ``lo + (hi << 56)``.  Static bounds, checked by ``tests/test_kernels.py``,
 hold for every table up to ``_MAX_PREC``:
 
@@ -48,7 +49,7 @@ there is no other path.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import repeat
+from itertools import islice, repeat
 from math import ceil, isqrt
 from operator import add, lshift
 
@@ -163,6 +164,13 @@ def _balanced(a: np.ndarray, count: int, bits: int) -> Iterator[np.ndarray]:
     yield rest
 
 
+def _square_norm(x: np.ndarray) -> int:
+    """An integer upper bound on sum x^2: the float64 sum raised by 2^-29 relative."""
+    x = x.astype(np.float64)
+    # einsum, not a BLAS dot, whose worker threads spin on after each call
+    return ceil(float(np.einsum("i,i->", x, x)) * (1 + 2**-29))
+
+
 def _limb_split(a: np.ndarray) -> tuple[int, int]:
     """The fewest balanced limbs (count, bits) of ``a`` whose square's limb-degree
     sums are provably below ``_LIMB_SUM``.
@@ -172,14 +180,24 @@ def _limb_split(a: np.ndarray) -> tuple[int, int]:
     ||a_i|| ||a_j|| by Cauchy-Schwarz.  Each squared norm is a float64 sum of
     squares raised by 2^-29 relative, above the rounding error (n + 2) 2^-53
     of n <= 2^20 squares in any order, so it is an upper bound; the pair
-    products are then bounded in Python integers, so nothing overflows.
+    products are then bounded in Python integers, so nothing overflows.  The
+    top limb, (a + H) >> (bits (count - 1)) with H the sum of the lower limbs'
+    offsets 2^(bits - 1) 2^(bits i), is tested alone first: the top degree's
+    sum is its squared norm + 1, so most failing counts need no other limb,
+    and the square of its entry at the largest |a| alone rejects many.
     """
-    width = int(np.abs(a).max()).bit_length()
+    peak = int(a[np.abs(a).argmax()])
+    width = abs(peak).bit_length()
     for count in range(1, width + 1):
         bits = width // count
-        limbs = (limb.astype(np.float64) for limb in _balanced(a, count, bits))
-        # einsum, not a BLAS dot, whose worker threads spin on after each call
-        sq = [ceil(float(np.einsum("i,i->", x, x)) * (1 + 2**-29)) for x in limbs]
+        offsets = sum(((1 << bits) >> 1) << (bits * i) for i in range(count - 1))
+        shift = bits * (count - 1)
+        if ((peak + offsets) >> shift) ** 2 + 1 >= _LIMB_SUM:
+            continue  # one entry of the top limb already puts its squared norm past the bound
+        top_sq = _square_norm(a if count == 1 else (a + offsets) >> shift)
+        if top_sq + 1 >= _LIMB_SUM:
+            continue
+        sq = [_square_norm(limb) for limb in islice(_balanced(a, count, bits), count - 1)] + [top_sq]
         sums = (
             sum(isqrt(sq[i] * sq[k - i]) + 1 for i in range(max(0, k - count + 1), min(k, count - 1) + 1))
             for k in range(2 * count - 1)
@@ -284,17 +302,32 @@ def eta24_modp(prec: int) -> np.ndarray:
     return words
 
 
-def tau_numbers(nmax: int) -> list[int]:
-    """Exact tau(1..nmax) as Python ints, assembled from the two words of
-    :func:`eta24_modp` a chunk at a time.
+def _check_tau_range(nmax: int) -> None:
+    if nmax > _MAX_PREC:
+        raise ValueError(f"tau table limited to {_MAX_PREC} (int64 Deligne bound of eta^12 and the two-word tau bound)")
+
+
+def tau_words(nmax: int) -> np.ndarray:
+    """tau(0..nmax) as an (nmax + 1) x 2 int64 array: row u holds the words
+    (lo, hi) of :func:`eta24_modp`, tau(u) = lo + hi 2^56; row 0 is zero."""
+    _check_tau_range(nmax)
+    words = np.zeros((nmax + 1, 2), dtype=np.int64)
+    if nmax >= 1:
+        words[1:] = eta24_modp(nmax).T
+    return words
+
+
+def tau_numbers(nmax: int, words: np.ndarray | None = None) -> list[int]:
+    """Exact tau(1..nmax) as Python ints, assembled a chunk at a time from the
+    two words of :func:`eta24_modp`, or from those of ``words`` (as returned by
+    :func:`tau_words`, at least nmax + 1 rows) when given.
 
     Entry 0 of the returned list is unused (set to 0).
     """
     if nmax < 1:
         return [0]
-    if nmax > _MAX_PREC:
-        raise ValueError(f"tau table limited to {_MAX_PREC} (int64 Deligne bound of eta^12 and the two-word tau bound)")
-    lo, hi = eta24_modp(nmax)
+    _check_tau_range(nmax)
+    lo, hi = eta24_modp(nmax) if words is None else words[1 : nmax + 1].T
     out = [0]
     for start in range(0, nmax, _CHUNK):
         stop = start + _CHUNK

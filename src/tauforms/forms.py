@@ -14,6 +14,8 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import _kernels
 from .arith import ZERO, InconsistentSystem, Rat, as_rat, bernoulli, rat_str, solve_exact
 from .qseries import QSeries, check_prec
@@ -181,15 +183,17 @@ def delta(prec: int) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# Shared integer tables: tau under the key "tau", sigma_a under ("sigma", a).
-# ``_table`` holds the one growth rule.  The lock is reentrant because the
-# weight tables in ``lseries`` hold it while they read ``tau_table``.
+# Shared integer tables: the two int64 words of tau under "tau words", tau as
+# Python ints (assembled from those words) under "tau", and sigma_a as an int64
+# array under ("sigma", a).  ``_table`` holds the one growth rule.  The lock is
+# reentrant because the weight tables in ``lseries`` hold it while they read
+# ``tau_words``, and ``tau_table`` holds it while it reads them.
 
 _tables_lock = threading.RLock()
-_tables: dict[object, list[int]] = {}
+_tables: dict[object, list[int] | np.ndarray] = {}
 
 
-def _table(key, nmax: int, build) -> list[int]:
+def _table(key, nmax: int, build):
     """The table ``key`` up to at least index nmax, from ``build(n)`` when too short.
 
     The first build is exact; a rebuild takes at least 1.5x the old length
@@ -199,28 +203,38 @@ def _table(key, nmax: int, build) -> list[int]:
     with _tables_lock:
         table = _tables.get(key, [])
         if len(table) <= nmax:
-            if table:
+            if len(table):
                 nmax = max(nmax, min(len(table) * 3 // 2, _kernels._MAX_PREC))
             table = _tables[key] = build(nmax)
         return table
 
 
+def tau_words(nmax: int) -> np.ndarray:
+    """Prepare (and return) the shared word table of tau up to u = nmax: row u
+    holds (lo, hi) with tau(u) = lo + hi 2^56 (see ``_kernels.tau_words``).
+    This is the only table built by the eta^24 kernel."""
+    return _table("tau words", nmax, _kernels.tau_words)
+
+
 def tau_table(nmax: int) -> list[int]:
-    """Prepare (and return) the shared tau table up to tau(nmax)."""
-    return _table("tau", nmax, _kernels.tau_numbers)
+    """Prepare (and return) the shared tau table up to tau(nmax), as Python ints
+    assembled from the word table; it runs the eta^24 kernel only when the word
+    table is too short."""
+    return _table("tau", nmax, lambda n: _kernels.tau_numbers(n, tau_words(n)))
 
 
 def tau(n: int) -> int:
-    """tau(n) from the prepared table; errors if the table is too short."""
+    """tau(n) from the prepared word table; errors if the table is too short."""
     if n < 1:
         raise ValueError("tau(n) needs n >= 1")
-    table = _tables.get("tau", [0])
-    if n >= len(table):
+    words = _tables.get("tau words", [])
+    if n >= len(words):
         raise ValueError(
-            f"tau table too short: have {len(table) - 1} entries, "
+            f"tau table too short: have {max(len(words) - 1, 0)} entries, "
             f"need at least {n}; call tau_table({n}) first"
         )
-    return table[n]
+    lo, hi = words[n].tolist()
+    return lo + (hi << _kernels._WORD)
 
 
 # ---------------------------------------------------------------------------

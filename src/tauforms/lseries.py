@@ -14,11 +14,24 @@ s in {8, 9} the certified bound decays too slowly to be useful and the
 reported tail is the non-rigorous envelope `10 x max |term| over
 T/10 <= n <= T`.
 
-Tau and sigma_a live in one store in ``forms`` with one growth rule: the
-first build is exact and a rebuild takes at least 1.5x the old length.  The
-two sweeps size them up front: ``verify_sweep`` builds tau once to
-``max(ms) + cutoff``, and ``lvalues_m0`` builds tau and each sigma_a once to
-the longest cutoff it needs.  Ad-hoc loops rely on the 1.5x regrowth.
+No Python integer is made per term.  Each weight table is an int32 array of
+signed b-bit limbs, built from the two int64 words of tau by an exact long
+division in int64 (:func:`_weight_block`), with b the widest that keeps each
+division step below 2^62 for the table's largest u (28 bits at 10^5, 22 at
+the kernel's limit of 10^6).  The dot cuts sigma_a(n) (times n) into limbs of
+63 - 13 - b bits and sums limb products over chunks of 2^13 lanes in int64,
+each chunk sum below 2^63; only the per-limb chunk sums are combined in
+Python ints.  The envelope is screened in float64 and its few candidates
+compared exactly (:func:`_largest_term`).
+
+Tau (as words, and as Python ints for callers that read tau) and sigma_a live
+in one store in ``forms`` with one growth rule: the first build is exact and
+a rebuild takes at least 1.5x the old length.  The weight tables follow the
+same rule within the tau word table.  The two sweeps size them up front:
+``verify_sweep`` builds the tau words and the weights once to
+``max(ms) + cutoff``, and ``lvalues_m0`` builds the tau words and each
+sigma_a once to the longest cutoff it needs.  Ad-hoc loops rely on the 1.5x
+regrowth.
 """
 
 from __future__ import annotations
@@ -26,14 +39,14 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
-from operator import mul
+from operator import add, lshift
 
+import numpy as np
 from mpmath import mp
 
 from .arith import DEFAULT_PREC_BITS, Rat, solve_exact
 from .calculus import rankin_cohen, serre, serre_seed
-from .forms import Form, _table, _tables_lock, e12_delta_coords, eisenstein, tau_table
+from .forms import Form, _table, _tables_lock, e12_delta_coords, eisenstein, tau_table, tau_words
 from .poincare import TauIdentity, catalog_identity, eval_modular_seed
 from .qseries import QSeries
 from . import _kernels
@@ -107,51 +120,192 @@ class LResult:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point weights W[u] = floor(tau(u) 2^G / u^s) per exponent s, replaced
-# only when the guard precision G changes and grown by appending.  They share
-# the lock of the tau and sigma tables in ``forms``.
+# Fixed-point weights W[u] = floor(tau(u) 2^G / u^s) per exponent s, held as
+# int32 limbs: W[u] = sum_j limbs[j, u] 2^(bits j).  A table is replaced when
+# the guard precision G changes and rebuilt, to at least 1.5x its length
+# within the tau word table, when too short.  They share the lock of the
+# tables in ``forms``.
 
 _GUARD_BITS = 64
-_weight_tables: dict[int, tuple[int, list[int]]] = {}
+# Lanes per block of the weight division and per chunk of the dot.
+_LANES_LOG = 13
+_LANES = 1 << _LANES_LOG
+_weight_tables: dict[int, tuple[int, tuple[int, np.ndarray]]] = {}
 
 
-def _sigma(a: int, nmax: int) -> list[int]:
-    """sigma_a(n) for n = 0..nmax (at least) as Python ints; entry 0 is 0."""
-    return _table(("sigma", a), nmax, lambda n: _kernels.sigma_range(a, n).tolist())
+def _sigma(a: int, nmax: int) -> np.ndarray:
+    """sigma_a(n) for n = 0..nmax (at least) as an int64 array; entry 0 is 0."""
+    return _table(("sigma", a), nmax, lambda n: _kernels.sigma_range(a, n))
 
 
-def _weights(s: int, umax: int, guard: int) -> list[int]:
-    """W[u] = floor(tau(u) 2^guard / u^s) for u = 1..umax (at least); W[0] = 0."""
+def _limb_bits(umax: int) -> int:
+    """The limb width b of a weight table up to u = umax.
+
+    A division step forms rem 2^b + limb with rem < u^2 and limb < 2^b, below
+    2^(bitlen(u^2) + b) <= 2^62; b <= 30 keeps the limbs, at most 2^b in
+    absolute value, in int32.
+    """
+    return min(30, 62 - (umax * umax).bit_length())
+
+
+def _weight_block(words: np.ndarray, u0: int, u1: int, s: int, guard: int, bits: int) -> np.ndarray:
+    """Signed limbs of W[u] for u = u0..u1-1 (u0 >= 1), one row per limb, lowest first.
+
+    |tau(u)| 2^guard is cut into ``bits``-bit limbs straight from the two words
+    of tau, divided by u^2 s // 2 times and by u once if s is odd (nested
+    floors are exact), and signed: floor(-A/D) = -(floor(A/D) + [D does not
+    divide A]), the correction going to the lowest limb, which may reach -2^bits.
+    """
+    lo, hi = words[u0:u1].T
+    neg = hi < 0
+    # |tau| = x_hi 2^56 + x_lo with 0 <= x_lo < 2^56
+    x_lo = np.where(neg, -lo & ((1 << _kernels._WORD) - 1), lo)
+    x_hi = np.where(neg, -hi - (lo != 0), hi)
+    # 2^guard = 2^(bits zeros) 2^shift: the lowest limb takes bits - shift bits of |tau|.
+    zeros, shift = divmod(guard, bits)
+    limbs, width = [], bits - shift
+    while not limbs or x_lo.any() or x_hi.any():
+        mask = (1 << width) - 1
+        limbs.append((x_lo & mask) << (bits - width))
+        x_lo = (x_lo >> width) | ((x_hi & mask) << (_kernels._WORD - width))
+        x_hi >>= width
+        width = bits
+    num = np.zeros((len(limbs) + zeros, u1 - u0), dtype=np.int64)
+    num[: len(limbs)] = limbs[::-1]  # highest limb first
+    u = np.arange(u0, u1, dtype=np.int64)
+    inexact = np.zeros(u1 - u0, dtype=bool)
+    rem = np.empty_like(u)
+    for d in [u * u] * (s // 2) + [u] * (s % 2):
+        rem[:] = 0
+        for row in num:
+            rem <<= bits
+            rem += row
+            np.divmod(rem, d, out=(row, rem))
+        inexact |= rem != 0
+        while len(num) > 1 and not num[0].any():
+            num = num[1:]
+    num = num[::-1] * np.where(neg, -1, 1)
+    num[0] -= neg & inexact
+    return num
+
+
+def _weight_limbs(words: np.ndarray, s: int, guard: int, umax: int) -> tuple[int, np.ndarray]:
+    """(bits, limbs) of W[u] for u = 0..umax, limbs[j, u] in int32, W[0] = 0.
+
+    |W[u]| <= 2^guard (Deligne: |tau(u)| / u^s <= d(u) u^-2.5 < 1 for u >= 2),
+    so guard // bits + 1 limbs hold every weight.
+    """
+    bits = _limb_bits(umax)
+    limbs = np.zeros((guard // bits + 1, umax + 1), dtype=np.int32)
+    for u0 in range(1, umax + 1, _LANES):
+        u1 = min(u0 + _LANES, umax + 1)
+        block = _weight_block(words, u0, u1, s, guard, bits)
+        limbs[: len(block), u0:u1] = block
+    return bits, limbs
+
+
+def _weights(s: int, umax: int, guard: int) -> tuple[int, np.ndarray]:
+    """(bits, limbs) with W[u] = floor(tau(u) 2^guard / u^s) = sum_j limbs[j, u] 2^(bits j)
+    for u = 1..umax (at least); column 0 is zero.
+
+    The first build for a guard is exact; a rebuild takes at least 1.5x the
+    old length, but no more of tau than the word table already holds.
+    """
     with _tables_lock:
-        cached_guard, w = _weight_tables.get(s, (guard, [0]))
-        if cached_guard != guard:
-            w = [0]
-        if len(w) <= umax:
-            tau = tau_table(umax)
-            w.extend((tau[u] << guard) // u**s for u in range(len(w), umax + 1))
-        _weight_tables[s] = (guard, w)
-        return w
+        cached_guard, table = _weight_tables.get(s, (None, None))
+        if cached_guard == guard:
+            size = table[1].shape[1]
+            if size > umax:
+                return table
+            umax = max(umax, min(size * 3 // 2, len(tau_words(umax)) - 1))
+        table = _weight_limbs(tau_words(umax), s, guard, umax)
+        _weight_tables[s] = (guard, table)
+        return table
+
+
+def _sigma_limbs(sig: np.ndarray, n_weight: bool, width: int) -> np.ndarray:
+    """sig (times n = 1..len(sig) when ``n_weight``) as rows of ``width``-bit limbs, lowest first.
+
+    sigma_3(n) n can exceed 2^63, so the product is formed limb by limb: each
+    limb times n plus the carry stays below 2^(width + 21) for n < 2^20.
+    """
+    mask = (1 << width) - 1
+    rows, rest = [], sig
+    while rest.any():
+        rows.append(rest & mask)
+        rest = rest >> width
+    if n_weight:
+        n = np.arange(1, len(sig) + 1, dtype=np.int64)
+        carry, scaled = 0, []
+        for row in rows:
+            v = row * n + carry
+            scaled.append(v & mask)
+            carry = v >> width
+        while carry.any():
+            scaled.append(carry & mask)
+            carry = carry >> width
+        rows = scaled
+    return np.array(rows)
 
 
 def _dot(
-    sig: list[int], w: list[int], shift: int, n_weight: bool, envelope: bool
+    sig: np.ndarray, w: tuple[int, np.ndarray], shift: int, n_weight: bool, envelope: bool
 ) -> tuple[int, int, int | None]:
-    """Exact sum over n = 1..T of sig[n-1] w[shift + n], times n when ``n_weight``.
+    """Exact sum over n = 1..T of sig[n-1] W[shift + n], times n when ``n_weight``.
 
-    ``sig`` holds sigma_a(1..T).  Returns the sum, the rounding weight (the
-    same sum with every w replaced by 1, which bounds the flooring error of
-    the w in units of 2^-G), and, only when ``envelope`` is set, the largest
-    |term| over n >= max(1, T // 10); otherwise None, and no list of terms is
-    built.
+    ``sig`` holds sigma_a(1..T) (int64) and ``w`` is a weight table of
+    :func:`_weights`.  sig (times n) is cut into limbs of c = 63 - 13 - bits
+    bits, so each chunk of 2^13 lanes sums products of a weight limb (at most
+    2^bits) and a sigma limb (below 2^c) below 2^63 in int64; only the chunk
+    sums are combined in Python ints.  Returns the sum, the rounding weight
+    (the same sum with every W replaced by 1, which bounds the flooring error
+    of the W in units of 2^-G), and, only when ``envelope`` is set, the largest
+    |term| over n >= max(1, T // 10); otherwise None.
+    """
+    bits, limbs = w
+    width = 63 - _LANES_LOG - bits
+    T = len(sig)
+    parts = _sigma_limbs(sig, n_weight, width)
+    window = limbs[:, shift + 1 : shift + T + 1]
+    sums = [0] * (len(window) * len(parts))
+    for start in range(0, T, _LANES):
+        chunk = window[:, start : start + _LANES] @ parts[:, start : start + _LANES].T
+        sums = list(map(add, sums, chunk.ravel().tolist()))
+    offsets = [bits * j + width * i for j in range(len(window)) for i in range(len(parts))]
+    total = sum(map(lshift, sums, offsets))
+    weight = sum(int(row.sum()) << (width * i) for i, row in enumerate(parts))
+    if not envelope:
+        return total, weight, None
+    return total, weight, _largest_term(sig, window, bits, n_weight)
+
+
+def _largest_term(sig: np.ndarray, window: np.ndarray, bits: int, n_weight: bool) -> int:
+    """max |sig[n-1] (times n) W| over n >= max(1, T // 10), W being the limbs ``window[:, n-1]``.
+
+    Screened in float64: each term is approximated within a relative
+    (limbs + 3) 2^-53, far inside 2^-31 for fewer than 2^20 limbs (the limbs
+    of W share its sign, and any that underflow weigh less than 2^-700 of
+    W), so only the terms within 2^-30 of the largest approximation can be
+    the largest; those few are compared exactly.
     """
     T = len(sig)
+    first = max(1, T // 10) - 1
+    tail = window[:, first:]
+    approx = np.zeros(T - first)
+    for j, row in enumerate(tail):
+        approx += row * math.ldexp(1.0, bits * (j + 1 - len(tail)))
+    np.abs(approx, out=approx)
+    approx *= sig[first:]
     if n_weight:
-        sig = list(map(mul, sig, range(1, T + 1)))
-    w_slice = islice(w, shift + 1, shift + T + 1)
-    if not envelope:
-        return sum(map(mul, sig, w_slice)), sum(sig), None
-    terms = list(map(mul, sig, w_slice))
-    return sum(terms), sum(sig), max(map(abs, islice(terms, max(1, T // 10) - 1, None)))
+        approx *= np.arange(first + 1, T + 1)
+    near = np.flatnonzero(approx >= approx.max() * (1 - 2**-30)) + first
+    shifts = range(0, bits * len(window), bits)
+
+    def term(k: int) -> int:
+        w = sum(map(lshift, window[:, k].tolist(), shifts))
+        return abs(int(sig[k]) * (k + 1 if n_weight else 1) * w)
+
+    return max(map(term, near.tolist()))
 
 
 def _fixed_sum(
@@ -319,7 +473,12 @@ def verify_sweep(
     """``verify_identity`` for each m of ``ms``, in that order, on tables sized once."""
     entry = catalog_identity(ident) if isinstance(ident, str) else ident
     tol, cutoff = _tier_args(entry, tol, cutoff)
-    tau_table(max(ms) + cutoff)
+    if not ms:
+        return []
+    if prec_bits < 16:  # checked before the weights are sized with it
+        raise ValueError("precision must be at least 16 bits")
+    tau_words(max(ms) + cutoff)
+    _weights(entry.s, max(ms) + cutoff, prec_bits + _GUARD_BITS)
     return [verify_identity(entry, m, tol, cutoff, prec_bits) for m in ms]
 
 
@@ -374,7 +533,7 @@ def lvalues_m0(cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) ->
     if cutoff is not None and cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     cutoffs = {(a, s): TIERS[s][0] if cutoff is None else cutoff for a, s in M0_CONSTANTS}
-    tau_table(max(cutoffs.values()))
+    tau_words(max(cutoffs.values()))
     for a in sorted({a for a, _ in cutoffs}):
         _sigma(a, max(T for (b, _), T in cutoffs.items() if b == a))
     return [lvalue_m0(a, s, T, prec_bits) for (a, s), T in cutoffs.items()]

@@ -15,16 +15,17 @@ settings.load_profile("tauforms")
 def fresh_tables(monkeypatch):
     """Empty shared tau, sigma and weight tables, and a log of every kernel build.
 
-    The returned list gets ``("tau", nmax)`` for each ``tau_numbers`` build and
-    ``(a, nmax)`` for each ``sigma_range`` build, in call order.
+    The returned list gets ``("tau", nmax)`` for each ``eta24_modp`` build (the
+    FFT build of tau(1..nmax), whichever table asked for it) and ``(a, nmax)``
+    for each ``sigma_range`` build, in call order.
     """
     built = []
-    real_tau, real_sigma = _kernels.tau_numbers, _kernels.sigma_range
+    real_eta24, real_sigma = _kernels.eta24_modp, _kernels.sigma_range
 
-    def tau_numbers(nmax):
-        table = real_tau(nmax)  # a call the kernel refuses builds nothing
+    def eta24_modp(nmax):
+        words = real_eta24(nmax)
         built.append(("tau", nmax))
-        return table
+        return words
 
     def sigma_range(a, nmax):
         table = real_sigma(a, nmax)
@@ -33,6 +34,6 @@ def fresh_tables(monkeypatch):
 
     monkeypatch.setattr(forms, "_tables", {})
     monkeypatch.setattr(lseries, "_weight_tables", {})
-    monkeypatch.setattr(_kernels, "tau_numbers", tau_numbers)
+    monkeypatch.setattr(_kernels, "eta24_modp", eta24_modp)
     monkeypatch.setattr(_kernels, "sigma_range", sigma_range)
     return built

@@ -1,6 +1,7 @@
 import pytest
 
 import tauforms.forms as forms_mod
+from tauforms import _kernels
 from tauforms.arith import Rat, bernoulli
 from tauforms.forms import (
     Form,
@@ -19,6 +20,7 @@ from tauforms.forms import (
     tau,
     tau_table,
 )
+from tauforms.lseries import verify_sweep
 from tauforms.qseries import QSeries
 
 
@@ -105,6 +107,14 @@ def test_tau_too_short_errors(fresh_tables):
         forms_mod.tau(5)
     forms_mod.tau_table(5)
     assert forms_mod.tau(5) == 4830
+
+
+def test_tau_reads_the_words_a_sweep_prepared(fresh_tables):
+    verify_sweep("kumar", [1], cutoff=50)
+    built = list(fresh_tables)
+    values = [forms_mod.tau(n) for n in range(1, 52)]
+    assert fresh_tables == built == [("tau", 51), (1, 50)]  # tau() built nothing
+    assert values == _kernels.tau_numbers(51)[1:]
 
 
 def test_delta_reads_the_shared_tau_table(fresh_tables):

@@ -219,6 +219,38 @@ def test_guard_cases_cover_limb_counts_one_to_three():
     assert _SPLITS == {300: [1, 2], 100_000: [2, 3]}
 
 
+def _limb_split_every_limb(a):
+    """The limb rule computed from every limb of every count it tries."""
+    width = int(np.abs(a).max()).bit_length()
+    for count in range(1, width + 1):
+        bits = width // count
+        sq = [_kernels._square_norm(limb) for limb in _kernels._balanced(a, count, bits)]
+        sums = (
+            sum(isqrt(sq[i] * sq[k - i]) + 1 for i in range(max(0, k - count + 1), min(k, count - 1) + 1))
+            for k in range(2 * count - 1)
+        )
+        if max(sums) < _kernels._LIMB_SUM:
+            return count, bits
+    raise AssertionError("no split")
+
+
+@pytest.mark.parametrize("n", [1, 2, 300, 5000, 100_000, 300_020])
+def test_limb_split_tests_the_top_limb_first_without_changing_the_rule(n):
+    operands = []
+    real = _kernels._limb_split
+
+    def spy(a):
+        operands.append(a.copy())
+        return real(a)
+
+    with mock.patch.object(_kernels, "_limb_split", spy):
+        _kernels.eta24_modp(n)
+    rng = np.random.default_rng(n)
+    operands += [rng.integers(-(2**w), 2**w, 4000) for w in (10, 30, 45, 58)]
+    for a in operands:
+        assert real(a) == _limb_split_every_limb(a)
+
+
 @pytest.mark.parametrize("case", range(len(_TRANSFORMS)))
 def test_fft_guard_raises_off_an_integer(monkeypatch, case):
     n, which, _ = _TRANSFORMS[case]

@@ -1,12 +1,16 @@
+import random
 import sys
 import threading
+from math import isqrt
+from operator import mul
 
+import numpy as np
 import pytest
 from mpmath import mp
 
-from tauforms import lseries
+from tauforms import _kernels, lseries
 from tauforms.arith import Rat, rat_str
-from tauforms.forms import sigma, tau_table
+from tauforms.forms import sigma, tau_table, tau_words
 from tauforms.lseries import (
     LQuery,
     M0_CONSTANTS,
@@ -228,7 +232,9 @@ def test_tables_are_built_once_under_concurrent_requests(fresh_tables):
     results = []
 
     def work():
-        results.append((tau_table(3000), lseries._sigma(1, 3000), lseries._weights(11, 3000, 128)))
+        results.append(
+            (tau_words(3000), tau_table(3000), lseries._sigma(1, 3000), lseries._weights(11, 3000, 128))
+        )
 
     threads = [threading.Thread(target=work) for _ in range(8)]
     interval = sys.getswitchinterval()
@@ -245,12 +251,51 @@ def test_tables_are_built_once_under_concurrent_requests(fresh_tables):
     assert len(results) == 8 and all(x is y for r in results for x, y in zip(r, results[0]))
 
 
-def test_verify_sweep_matches_verify_identity(fresh_tables):
+def _spy_weight_builds(monkeypatch):
+    """Record the length umax of every weight table build."""
+    built, real = [], lseries._weight_limbs
+
+    def weight_limbs(words, s, guard, umax):
+        built.append(umax)
+        return real(words, s, guard, umax)
+
+    monkeypatch.setattr(lseries, "_weight_limbs", weight_limbs)
+    return built
+
+
+def test_verify_sweep_matches_verify_identity(fresh_tables, monkeypatch):
+    weight_builds = _spy_weight_builds(monkeypatch)
     ms = [3, 1, 2]
     reports = verify_sweep("kumar", ms, cutoff=2000)
     assert [n for kind, n in fresh_tables if kind == "tau"] == [2003]
+    assert weight_builds == [2003]
     assert [r.m for r in reports] == ms
     assert reports == [verify_identity("kumar", m, cutoff=2000) for m in ms]
+    assert weight_builds == [2003] and len(fresh_tables) == 2  # tau and sigma_1, nothing rebuilt
+
+
+def test_verify_sweep_of_no_m_builds_nothing(fresh_tables, monkeypatch):
+    weight_builds = _spy_weight_builds(monkeypatch)
+    assert verify_sweep("kumar", []) == []
+    assert fresh_tables == [] and weight_builds == []
+
+
+@pytest.mark.parametrize("prec_bits", [15, 0, -100])
+def test_verify_sweep_refuses_a_low_precision_before_building(fresh_tables, prec_bits):
+    with pytest.raises(ValueError, match="at least 16 bits"):
+        verify_sweep("kumar", [1], cutoff=100, prec_bits=prec_bits)
+    assert fresh_tables == []
+
+
+def test_weight_table_regrows_geometrically(fresh_tables, monkeypatch):
+    weight_builds = _spy_weight_builds(monkeypatch)
+    for t in range(100, 401):
+        shifted_L(LQuery(2, 1, 11, t))
+    assert weight_builds[0] == 102  # the first build is exact
+    assert all(b >= a * 3 // 2 for a, b in zip(weight_builds, weight_builds[1:]))
+    assert len(weight_builds) <= 5  # 402 / 102 < 1.5^4
+    # a weight table never makes the tau words longer than a sum needs
+    assert [n for kind, n in fresh_tables if kind == "tau"][0] == 102
 
 
 def test_petersson_recover_builds_each_table_once(fresh_tables, monkeypatch):
@@ -268,3 +313,127 @@ def test_printed_values_table():
     assert M0_PRINTED[(1, 11)] == "0.968"
     assert M0_PRINTED[(1, 9)] == "0.880"
     assert len(M0_PRINTED) == 6
+
+
+# ---------------------------------------------------------------------------
+# The int64 limb path against the Python-int reference: weights
+# (tau[u] << G) // u**s and the dot sum(map(mul, sig, w)).
+
+_GUARD = 256 + lseries._GUARD_BITS
+
+
+def _weight(table, u):
+    """W[u] as a Python int from a weight table (bits, limbs)."""
+    bits, limbs = table
+    return sum(int(x) << (bits * j) for j, x in enumerate(limbs[:, u].tolist()))
+
+
+@pytest.mark.parametrize("guard", [16 + lseries._GUARD_BITS, _GUARD, 1000])
+@pytest.mark.parametrize("s", [8, 9, 10, 11])
+def test_limb_weights_are_exact_up_to_3000(s, guard):
+    table = lseries._weight_limbs(tau_words(3000), s, guard, 3000)
+    assert table[0] == 30  # the widest limbs int32 holds
+    tau = tau_table(3000)
+    assert [_weight(table, u) for u in range(3001)] == [0] + [(tau[u] << guard) // u**s for u in range(1, 3001)]
+
+
+@pytest.fixture(scope="module")
+def tau_1e5():
+    return tau_table(100_000)
+
+
+@pytest.mark.parametrize("s", [8, 9, 10, 11])
+def test_limb_weights_are_exact_at_1e5(s, tau_1e5):
+    table = lseries._weight_limbs(tau_words(100_000), s, _GUARD, 100_000)
+    assert table[0] == 28  # the limb width for u up to 10^5
+    powers = [2**k for k in range(17)]
+    # tau(2^k) 2^G is divisible by (2^k)^s here, and tau(2^k) < 0 for some k:
+    # the floor of an exact negative quotient takes no correction.
+    assert all((tau_1e5[u] << _GUARD) % u**s == 0 for u in powers)
+    assert any(tau_1e5[u] < 0 for u in powers)
+    rng = random.Random(s)
+    us = powers + rng.sample(range(1, 100_001), 3000) + list(range(99_990, 100_001))
+    assert [_weight(table, u) for u in us] == [(tau_1e5[u] << _GUARD) // u**s for u in us]
+
+
+def _reference_dot(a, s, m, cutoff, n_weight):
+    """(sum, rounding weight, envelope) of the shifted sum, in Python ints."""
+    tau = tau_table(m + cutoff)
+    w = [(tau[u] << _GUARD) // u**s for u in range(m + 1, m + cutoff + 1)]
+    sig = _kernels.sigma_range(a, cutoff).tolist()[1:]
+    if n_weight:
+        sig = [x * n for n, x in enumerate(sig, 1)]
+    terms = list(map(mul, sig, w))
+    return sum(terms), sum(sig), max(map(abs, terms[max(1, cutoff // 10) - 1 :]))
+
+
+@pytest.mark.parametrize(
+    ("a", "s", "m", "cutoff", "n_weight"),
+    [
+        *[(a, s, 0, 3000, False) for a, s in M0_CONSTANTS],
+        (1, 11, 5, 1, False),
+        (1, 8, 7, 10, False),
+        (1, 10, 5, 100_000, False),
+        (3, 10, 6, 100_000, False),
+        (1, 10, 0, 100_000, False),
+        (3, 10, 0, 100_000, False),
+        (1, 8, 2, 100_000, False),
+        (1, 9, 2, 100_000, False),
+        (3, 11, 1, 100_000, True),
+        (3, 11, 0, 100_000, True),
+    ],
+)
+def test_limb_dot_matches_the_python_sum(a, s, m, cutoff, n_weight):
+    got = lseries._dot(
+        lseries._sigma(a, cutoff)[1 : cutoff + 1], lseries._weights(s, m + cutoff, _GUARD), m, n_weight, True
+    )
+    assert got == _reference_dot(a, s, m, cutoff, n_weight)
+    if n_weight and cutoff == 100_000:
+        assert max(sigma(3, n) * n for n in range(99_000, 100_001)) > 2**63
+    # err_round comes from the rounding weight and the sum alone
+    value, err_round, envelope = lseries._fixed_sum(a, s, m, cutoff, 256, n_weight, True)
+    acc, weight, top = got
+    excess = abs(acc).bit_length() - 256
+    units = weight + (1 << (excess - 1) if excess > 0 else 0)
+    with mp.workprec(1024):
+        assert err_round == mp.ldexp(units, -_GUARD)
+        assert envelope == mp.ldexp(mp.mpf(top, prec=256), -_GUARD)
+        assert value == mp.ldexp(mp.mpf(acc, prec=256), -_GUARD)
+
+
+def test_int64_bounds_of_the_limb_sums_hold_up_to_max_prec():
+    umax = _kernels._MAX_PREC
+    assert lseries._limb_bits(100_000) == 28 and lseries._limb_bits(umax) == 22
+    # Division step: rem < u^2 and a numerator limb < 2^b give
+    # rem 2^b + limb < u^2 2^b < 2^63, at the largest u of each limb width.
+    widths = set()
+    for k in range(1, (umax * umax).bit_length() + 1):
+        u = min(isqrt(2**k - 1), umax)
+        b = lseries._limb_bits(u)
+        widths.add(b)
+        assert (u * u - 1) * 2**b + 2**b - 1 < 2**63
+        assert 2**b < 2**31  # |limb| <= 2^b, the corrected lowest one included, fits int32
+        # |tau| is taken from its words in pieces of at most b bits, each
+        # shifted below 2^56: (x_hi mod 2^w) 2^(56 - w) < 2^56 for w <= b.
+        assert b <= _kernels._WORD
+    assert widths == set(range(22, 31))
+    # The dot: a weight limb (|.| <= 2^b) times a sigma limb (a c-bit slice,
+    # below 2^c, c = 63 - 13 - b) summed over a chunk of 2^13 lanes stays below 2^63.
+    for b in widths:
+        c = 63 - lseries._LANES_LOG - b
+        assert lseries._LANES * 2**b * (2**c - 1) < 2**63
+        # The n-weighted limbs: limb n + carry < 2^(c + 21) for n < 2^20.
+        assert umax < 2**20 and (2**c - 1) * (2**20 - 1) + 2**21 <= 2 ** (c + 21) < 2**63
+        # The rounding weight sums each sigma limb over at most umax lanes.
+        assert umax * (2**c - 1) < 2**63
+    # sigma_3(n) n overflows int64 below the limit, so it is formed limb by
+    # limb; its limbs at the limit's width are c-bit slices of the exact product.
+    sig3 = _kernels.sigma_range(3, umax)[1:]
+    assert int(sig3.max()) < 2**63 < int(sig3[-1]) * umax
+    c = 63 - lseries._LANES_LOG - lseries._limb_bits(umax)
+    for n_weight in (False, True):
+        parts = lseries._sigma_limbs(sig3, n_weight, c)
+        assert parts.min() >= 0 and parts.max() < 2**c
+        for n in list(range(1, 50)) + list(range(umax - 50, umax + 1)):
+            value = sum(int(x) << (c * i) for i, x in enumerate(parts[:, n - 1].tolist()))
+            assert value == sigma(3, n) * (n if n_weight else 1)
