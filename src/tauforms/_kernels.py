@@ -7,8 +7,8 @@ the operand is split into balanced limbs, so that every limb-degree sum of
 the square is an integer float64 holds exactly.  Each square takes the
 fewest limbs that its operand's limb norms allow (:func:`_limb_split`).  The
 limb degrees of f^8 are combined exactly into two int64 words per
-coefficient; :func:`tau_words` keeps them as the tau table, and
-:func:`tau_numbers` assembles each tau value from them as
+coefficient; :func:`tau_words` lays them out as the two rows of the tau
+table, and :func:`tau_numbers` assembles Python ints from those rows as
 ``lo + (hi << 56)``.  Static bounds, checked by ``tests/test_kernels.py``,
 hold for every table up to ``_MAX_PREC``:
 
@@ -302,32 +302,25 @@ def eta24_modp(prec: int) -> np.ndarray:
     return words
 
 
-def _check_tau_range(nmax: int) -> None:
+def tau_words(nmax: int) -> np.ndarray:
+    """tau(0..nmax) as a 2 x (nmax + 1) int64 array: the rows lo and hi of
+    :func:`eta24_modp`, shifted one place, so that tau(u) = lo[u] + hi[u] 2^56;
+    column 0 is zero.  The only caller of :func:`eta24_modp` in the package."""
     if nmax > _MAX_PREC:
         raise ValueError(f"tau table limited to {_MAX_PREC} (int64 Deligne bound of eta^12 and the two-word tau bound)")
-
-
-def tau_words(nmax: int) -> np.ndarray:
-    """tau(0..nmax) as an (nmax + 1) x 2 int64 array: row u holds the words
-    (lo, hi) of :func:`eta24_modp`, tau(u) = lo + hi 2^56; row 0 is zero."""
-    _check_tau_range(nmax)
-    words = np.zeros((nmax + 1, 2), dtype=np.int64)
+    words = np.zeros((2, nmax + 1), dtype=np.int64)
     if nmax >= 1:
-        words[1:] = eta24_modp(nmax).T
+        words[:, 1:] = eta24_modp(nmax)
     return words
 
 
-def tau_numbers(nmax: int, words: np.ndarray | None = None) -> list[int]:
-    """Exact tau(1..nmax) as Python ints, assembled a chunk at a time from the
-    two words of :func:`eta24_modp`, or from those of ``words`` (as returned by
-    :func:`tau_words`, at least nmax + 1 rows) when given.
+def tau_numbers(nmax: int, words: np.ndarray) -> list[int]:
+    """Exact tau(0..nmax) as Python ints, assembled a chunk at a time from
+    ``words`` (a :func:`tau_words` table of at least nmax + 1 columns); entry 0 is 0.
 
-    Entry 0 of the returned list is unused (set to 0).
+    It only assembles: the FFT build is :func:`tau_words`' alone.
     """
-    if nmax < 1:
-        return [0]
-    _check_tau_range(nmax)
-    lo, hi = eta24_modp(nmax) if words is None else words[1 : nmax + 1].T
+    lo, hi = words[:, 1 : nmax + 1]
     out = [0]
     for start in range(0, nmax, _CHUNK):
         stop = start + _CHUNK

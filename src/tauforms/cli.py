@@ -36,7 +36,7 @@ from . import lseries
 from ._kernels import _MAX_PREC
 from .arith import DEFAULT_PREC_BITS, mpf_str, rat_str
 from .calculus import ramanujan_derivatives
-from .forms import NotModularError, in_basis, tau_table
+from .forms import NotModularError, in_basis, tau, tau_words
 from .poincare import identity_catalog
 
 EXIT_PASS = 0
@@ -247,7 +247,8 @@ def cmd_petersson(args) -> int:
 def cmd_tau(args) -> int:
     if args.n < 1:
         raise ValueError("tau(n) needs n >= 1")
-    print(tau_table(args.n)[args.n])
+    tau_words(args.n)
+    print(tau(args.n))
     return EXIT_PASS
 
 

@@ -183,57 +183,59 @@ def delta(prec: int) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# Shared integer tables: the two int64 words of tau under "tau words", tau as
-# Python ints (assembled from those words) under "tau", and sigma_a as an int64
-# array under ("sigma", a).  ``_table`` holds the one growth rule.  The lock is
-# reentrant because the weight tables in ``lseries`` hold it while they read
-# ``tau_words``, and ``tau_table`` holds it while it reads them.
+# The one store of integer tables, each an ndarray indexed by n on its last
+# axis: the two int64 words of tau as a 2 x (n + 1) array under "tau words",
+# sigma_a as an int64 array under ("sigma", a), and the limbs of the L-series
+# weights under ("weights", s, G) (kept by ``lseries``).  ``_table`` holds the
+# one growth rule.  The lock is reentrant because a weight table is built
+# under it from ``tau_words``.
 
 _tables_lock = threading.RLock()
-_tables: dict[object, list[int] | np.ndarray] = {}
+_tables: dict[object, np.ndarray] = {}
 
 
-def _table(key, nmax: int, build):
+def _table(key, nmax: int, build) -> np.ndarray:
     """The table ``key`` up to at least index nmax, from ``build(n)`` when too short.
 
     The first build is exact; a rebuild takes at least 1.5x the old length
     (within the kernel's limit), so a loop over growing nmax builds O(log)
     tables rather than one per step.
     """
+    if nmax < 0:
+        raise ValueError(f"table size must be >= 0, got {nmax}")
     with _tables_lock:
-        table = _tables.get(key, [])
-        if len(table) <= nmax:
-            if len(table):
-                nmax = max(nmax, min(len(table) * 3 // 2, _kernels._MAX_PREC))
+        table = _tables.get(key)
+        if table is None or table.shape[-1] <= nmax:
+            if table is not None:
+                nmax = max(nmax, min(table.shape[-1] * 3 // 2, _kernels._MAX_PREC))
             table = _tables[key] = build(nmax)
         return table
 
 
 def tau_words(nmax: int) -> np.ndarray:
-    """Prepare (and return) the shared word table of tau up to u = nmax: row u
+    """Prepare (and return) the shared word table of tau up to u = nmax: column u
     holds (lo, hi) with tau(u) = lo + hi 2^56 (see ``_kernels.tau_words``).
     This is the only table built by the eta^24 kernel."""
     return _table("tau words", nmax, _kernels.tau_words)
 
 
 def tau_table(nmax: int) -> list[int]:
-    """Prepare (and return) the shared tau table up to tau(nmax), as Python ints
-    assembled from the word table; it runs the eta^24 kernel only when the word
-    table is too short."""
-    return _table("tau", nmax, lambda n: _kernels.tau_numbers(n, tau_words(n)))
+    """tau(0..nmax) as Python ints (entry 0 is 0), assembled from the shared word
+    table on each call; the eta^24 kernel runs only when that table is too short."""
+    return _kernels.tau_numbers(nmax, tau_words(nmax))
 
 
 def tau(n: int) -> int:
     """tau(n) from the prepared word table; errors if the table is too short."""
     if n < 1:
         raise ValueError("tau(n) needs n >= 1")
-    words = _tables.get("tau words", [])
-    if n >= len(words):
+    words = _tables.get("tau words", np.zeros((2, 1), dtype=np.int64))
+    if n >= words.shape[1]:
         raise ValueError(
-            f"tau table too short: have {max(len(words) - 1, 0)} entries, "
+            f"tau table too short: have {words.shape[1] - 1} entries, "
             f"need at least {n}; call tau_table({n}) first"
         )
-    lo, hi = words[n].tolist()
+    lo, hi = words[:, n].tolist()
     return lo + (hi << _kernels._WORD)
 
 

@@ -24,11 +24,11 @@ each chunk sum below 2^63; only the per-limb chunk sums are combined in
 Python ints.  The envelope is screened in float64 and its few candidates
 compared exactly (:func:`_largest_term`).
 
-Tau (as words, and as Python ints for callers that read tau) and sigma_a live
-in one store in ``forms`` with one growth rule: the first build is exact and
-a rebuild takes at least 1.5x the old length.  The weight tables follow the
-same rule within the tau word table.  The two sweeps size them up front:
-``verify_sweep`` builds the tau words and the weights once to
+The tau words, sigma_a and the weight limbs live in one store in ``forms``
+with one growth rule: the first build is exact and a rebuild takes at least
+1.5x the old length.  A weight table is built from the tau words, and sizes
+them to its own length.  The two sweeps size the tables up front:
+``verify_sweep`` builds the weights (and so the tau words) once to
 ``max(ms) + cutoff``, and ``lvalues_m0`` builds the tau words and each
 sigma_a once to the longest cutoff it needs.  Ad-hoc loops rely on the 1.5x
 regrowth.
@@ -46,10 +46,10 @@ from mpmath import mp
 
 from .arith import DEFAULT_PREC_BITS, Rat, solve_exact
 from .calculus import rankin_cohen, serre, serre_seed
-from .forms import Form, _table, _tables_lock, e12_delta_coords, eisenstein, tau_table, tau_words
+from .forms import Form, _table, _tables_lock, e12_delta_coords, eisenstein, tau, tau_words
 from .poincare import TauIdentity, catalog_identity, eval_modular_seed
 from .qseries import QSeries
-from . import _kernels
+from . import _kernels, forms
 
 # Cutoffs and relative tolerances by exponent s.  These are fixed policy:
 # the runtime stays desk-scale and the tolerance states what the cutoff is
@@ -106,8 +106,13 @@ class LQuery:
             raise ValueError("m must be >= 0")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if self.prec_bits < 16:
-            raise ValueError("precision must be at least 16 bits")
+        _check_prec_bits(self.prec_bits)
+
+
+def _check_prec_bits(prec_bits: int) -> None:
+    """Refuse a precision below 16 bits, before any table is sized with it."""
+    if prec_bits < 16:
+        raise ValueError("precision must be at least 16 bits")
 
 
 @dataclass(frozen=True)
@@ -121,16 +126,13 @@ class LResult:
 
 # ---------------------------------------------------------------------------
 # Fixed-point weights W[u] = floor(tau(u) 2^G / u^s) per exponent s, held as
-# int32 limbs: W[u] = sum_j limbs[j, u] 2^(bits j).  A table is replaced when
-# the guard precision G changes and rebuilt, to at least 1.5x its length
-# within the tau word table, when too short.  They share the lock of the
-# tables in ``forms``.
+# int32 limbs: W[u] = sum_j limbs[j, u] 2^(bits j), stored in ``forms`` under
+# ("weights", s, G), one guard G per s.
 
 _GUARD_BITS = 64
 # Lanes per block of the weight division and per chunk of the dot.
 _LANES_LOG = 13
 _LANES = 1 << _LANES_LOG
-_weight_tables: dict[int, tuple[int, tuple[int, np.ndarray]]] = {}
 
 
 def _sigma(a: int, nmax: int) -> np.ndarray:
@@ -156,7 +158,7 @@ def _weight_block(words: np.ndarray, u0: int, u1: int, s: int, guard: int, bits:
     floors are exact), and signed: floor(-A/D) = -(floor(A/D) + [D does not
     divide A]), the correction going to the lowest limb, which may reach -2^bits.
     """
-    lo, hi = words[u0:u1].T
+    lo, hi = words[:, u0:u1]
     neg = hi < 0
     # |tau| = x_hi 2^56 + x_lo with 0 <= x_lo < 2^56
     x_lo = np.where(neg, -lo & ((1 << _kernels._WORD) - 1), lo)
@@ -208,19 +210,15 @@ def _weights(s: int, umax: int, guard: int) -> tuple[int, np.ndarray]:
     """(bits, limbs) with W[u] = floor(tau(u) 2^guard / u^s) = sum_j limbs[j, u] 2^(bits j)
     for u = 1..umax (at least); column 0 is zero.
 
-    The first build for a guard is exact; a rebuild takes at least 1.5x the
-    old length, but no more of tau than the word table already holds.
+    The table grows by the store's rule; a table of another guard for the
+    same s is dropped, so the store keeps one weight table per s.
     """
+    key = ("weights", s, guard)
     with _tables_lock:
-        cached_guard, table = _weight_tables.get(s, (None, None))
-        if cached_guard == guard:
-            size = table[1].shape[1]
-            if size > umax:
-                return table
-            umax = max(umax, min(size * 3 // 2, len(tau_words(umax)) - 1))
-        table = _weight_limbs(tau_words(umax), s, guard, umax)
-        _weight_tables[s] = (guard, table)
-        return table
+        for old in [k for k in forms._tables if k[:2] == key[:2] and k != key]:
+            del forms._tables[old]
+        limbs = _table(key, umax, lambda n: _weight_limbs(tau_words(n), s, guard, n)[1])
+    return _limb_bits(limbs.shape[1] - 1), limbs
 
 
 def _sigma_limbs(sig: np.ndarray, n_weight: bool, width: int) -> np.ndarray:
@@ -438,7 +436,7 @@ def verify_identity(
         raise ValueError("identity index m must be >= 1")
     tol, cutoff = _tier_args(entry, tol, cutoff)
     res = shifted_L(LQuery(m, entry.a, entry.s, cutoff, prec_bits))
-    tau_m = tau_table(m)[m]
+    tau_m = tau(m)  # shifted_L sized the tau words past m
     pref = entry.prefactor(m)
     with mp.workprec(prec_bits):
         rhs = mp.mpf(int(pref.numerator)) / mp.mpf(int(pref.denominator)) * res.partial_sum
@@ -473,11 +471,11 @@ def verify_sweep(
     """``verify_identity`` for each m of ``ms``, in that order, on tables sized once."""
     entry = catalog_identity(ident) if isinstance(ident, str) else ident
     tol, cutoff = _tier_args(entry, tol, cutoff)
+    _check_prec_bits(prec_bits)
     if not ms:
         return []
-    if prec_bits < 16:  # checked before the weights are sized with it
-        raise ValueError("precision must be at least 16 bits")
-    tau_words(max(ms) + cutoff)
+    if min(ms) < 1:
+        raise ValueError("identity index m must be >= 1")
     _weights(entry.s, max(ms) + cutoff, prec_bits + _GUARD_BITS)
     return [verify_identity(entry, m, tol, cutoff, prec_bits) for m in ms]
 
@@ -513,6 +511,7 @@ def lvalue_m0(a: int, s: int, cutoff: int | None = None, prec_bits: int = DEFAUL
         cutoff = TIERS[s][0]
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    _check_prec_bits(prec_bits)
     acc = _fixed_sum(a, s, 0, cutoff, prec_bits)[0]
     const = M0_CONSTANTS[(a, s)]
     with mp.workprec(prec_bits):
@@ -532,6 +531,7 @@ def lvalues_m0(cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) ->
     """
     if cutoff is not None and cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    _check_prec_bits(prec_bits)
     cutoffs = {(a, s): TIERS[s][0] if cutoff is None else cutoff for a, s in M0_CONSTANTS}
     tau_words(max(cutoffs.values()))
     for a in sorted({a for a, _ in cutoffs}):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tauforms import _kernels, forms, lseries
+from tauforms import _kernels, forms
 
 # First calls may build shared tables (tau, Eisenstein caches); per-example
 # deadlines would make those runs flaky.
@@ -13,7 +13,7 @@ settings.load_profile("tauforms")
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """Empty shared tau, sigma and weight tables, and a log of every kernel build.
+    """An empty table store (tau words, sigma and weights), and a log of every kernel build.
 
     The returned list gets ``("tau", nmax)`` for each ``eta24_modp`` build (the
     FFT build of tau(1..nmax), whichever table asked for it) and ``(a, nmax)``
@@ -33,7 +33,6 @@ def fresh_tables(monkeypatch):
         return table
 
     monkeypatch.setattr(forms, "_tables", {})
-    monkeypatch.setattr(lseries, "_weight_tables", {})
     monkeypatch.setattr(_kernels, "eta24_modp", eta24_modp)
     monkeypatch.setattr(_kernels, "sigma_range", sigma_range)
     return built

@@ -109,12 +109,20 @@ def test_tau_too_short_errors(fresh_tables):
     assert forms_mod.tau(5) == 4830
 
 
+def test_a_negative_table_size_is_refused(fresh_tables):
+    for make in (forms_mod.tau_table, forms_mod.tau_words):
+        for nmax in (-1, -3):
+            with pytest.raises(ValueError, match="table size must be >= 0"):
+                make(nmax)
+    assert fresh_tables == [] and forms_mod._tables == {}
+
+
 def test_tau_reads_the_words_a_sweep_prepared(fresh_tables):
     verify_sweep("kumar", [1], cutoff=50)
     built = list(fresh_tables)
     values = [forms_mod.tau(n) for n in range(1, 52)]
     assert fresh_tables == built == [("tau", 51), (1, 50)]  # tau() built nothing
-    assert values == _kernels.tau_numbers(51)[1:]
+    assert values == _kernels.tau_numbers(51, _kernels.tau_words(51))[1:]
 
 
 def test_delta_reads_the_shared_tau_table(fresh_tables):

@@ -18,7 +18,7 @@ TAU_1E5_SHA256 = "1b40302cfe622b682eee3f69ffeb05b8aa39a0532147998c7f45d15d7c0a3c
 
 @pytest.fixture(scope="module")
 def tau():
-    return _kernels.tau_numbers(100_000)
+    return _kernels.tau_numbers(100_000, _kernels.tau_words(100_000))
 
 
 def test_tau_numbers_digest_is_pinned(tau):
@@ -136,7 +136,7 @@ def _horner(v, p):
 
 # A block is ceil(sqrt(n)) long: 100^2 - 1 and 100^2 end on a partial and a
 # full block of 100, 100^2 + 1 starts blocks of 101; 202,500 is the length
-# of the transforms of tau_numbers(100000).
+# of the transforms of tau_words(100000).
 @pytest.mark.parametrize("n", [1, 2, 100**2 - 1, 100**2, 100**2 + 1, 202_500])
 def test_at_point_matches_a_python_horner(n):
     p = _kernels._PRIMES[0]
@@ -191,7 +191,7 @@ def _perturb_irfft(monkeypatch, which, delta):
 
 
 def _limb_counts(n):
-    """The limb counts that the rule picks for the two FFT squares of tau_numbers(n)."""
+    """The limb counts that the rule picks for the two FFT squares of tau_words(n)."""
     real, counts = _kernels._limb_split, []
 
     def spy(a):
@@ -200,11 +200,11 @@ def _limb_counts(n):
         return count, bits
 
     with mock.patch.object(_kernels, "_limb_split", spy):
-        _kernels.tau_numbers(n)
+        _kernels.tau_words(n)
     return counts
 
 
-# tau_numbers(300) squares in 1 and 2 limbs, tau_numbers(100000) in 2 and 3:
+# tau_words(300) squares in 1 and 2 limbs, tau_words(100000) in 2 and 3:
 # together every limb count the rule picks up to 10^5.  A square of c limbs
 # runs 2c - 1 inverse transforms; each case perturbs one of them.
 _SPLITS = {n: _limb_counts(n) for n in (300, 100_000)}
@@ -256,7 +256,7 @@ def test_fft_guard_raises_off_an_integer(monkeypatch, case):
     n, which, _ = _TRANSFORMS[case]
     seen = _perturb_irfft(monkeypatch, which, 0.3)
     with pytest.raises(ArithmeticError, match="off an integer"):
-        _kernels.tau_numbers(n)
+        _kernels.tau_words(n)
     assert len(seen) == which + 1  # raised at the perturbed transform; nothing was retried
 
 
@@ -265,7 +265,7 @@ def test_fft_evaluation_check_raises_on_an_integer_error(monkeypatch, case):
     n, which, ends = _TRANSFORMS[case]
     seen = _perturb_irfft(monkeypatch, which, 1.0)
     with pytest.raises(ArithmeticError, match="fails its check"):
-        _kernels.tau_numbers(n)
+        _kernels.tau_words(n)
     # raised when the square holding the perturbed transform ends
     assert len(seen) == next(end for end in ends if end > which)
 

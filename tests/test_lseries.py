@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from tauforms import _kernels, lseries
+from tauforms import _kernels, forms, lseries
 from tauforms.arith import Rat, rat_str
 from tauforms.forms import sigma, tau_table, tau_words
 from tauforms.lseries import (
@@ -21,6 +21,7 @@ from tauforms.lseries import (
     exact_lhs_catalog,
     hidden_moment,
     lvalue_m0,
+    lvalues_m0,
     petersson_recover,
     shifted_L,
     verify_identity,
@@ -248,7 +249,11 @@ def test_tables_are_built_once_under_concurrent_requests(fresh_tables):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(fresh_tables) == 2 and set(fresh_tables) == {("tau", 3000), (1, 3000)}
-    assert len(results) == 8 and all(x is y for r in results for x, y in zip(r, results[0]))
+    assert len(results) == 8
+    # every thread got the one stored array of each table, and equal tau lists
+    stored = [(words, sig, weights[1]) for words, _, sig, weights in results]
+    assert all(x is y for r in stored for x, y in zip(r, stored[0]))
+    assert all(r[1] == results[0][1] for r in results)
 
 
 def _spy_weight_builds(monkeypatch):
@@ -280,10 +285,28 @@ def test_verify_sweep_of_no_m_builds_nothing(fresh_tables, monkeypatch):
     assert fresh_tables == [] and weight_builds == []
 
 
+@pytest.mark.parametrize(
+    ("ms", "prec_bits", "match"),
+    [
+        pytest.param([1], 15, "at least 16 bits", id="15"),
+        pytest.param([1], 0, "at least 16 bits", id="0"),
+        pytest.param([1], -100, "at least 16 bits", id="-100"),
+        pytest.param([0], 256, "m must be >= 1", id="m=0"),
+        pytest.param([3, -2000], 256, "m must be >= 1", id="m=3,-2000"),
+    ],
+)
+def test_verify_sweep_refuses_a_low_precision_before_building(fresh_tables, ms, prec_bits, match):
+    with pytest.raises(ValueError, match=match):
+        verify_sweep("kumar", ms, cutoff=3000, prec_bits=prec_bits)
+    assert fresh_tables == []
+
+
 @pytest.mark.parametrize("prec_bits", [15, 0, -100])
-def test_verify_sweep_refuses_a_low_precision_before_building(fresh_tables, prec_bits):
+def test_m0_sums_refuse_a_low_precision_before_building(fresh_tables, prec_bits):
     with pytest.raises(ValueError, match="at least 16 bits"):
-        verify_sweep("kumar", [1], cutoff=100, prec_bits=prec_bits)
+        lvalue_m0(1, 11, 100, prec_bits=prec_bits)
+    with pytest.raises(ValueError, match="at least 16 bits"):
+        lvalues_m0(100, prec_bits=prec_bits)
     assert fresh_tables == []
 
 
@@ -298,15 +321,26 @@ def test_weight_table_regrows_geometrically(fresh_tables, monkeypatch):
     assert [n for kind, n in fresh_tables if kind == "tau"][0] == 102
 
 
+def test_weight_tables_keep_one_guard_per_exponent(fresh_tables, monkeypatch):
+    weight_builds = _spy_weight_builds(monkeypatch)
+    for guard in (128, 200, 128):
+        lseries._weights(11, 300, guard)
+    assert [k for k in forms._tables if k[0] == "weights"] == [("weights", 11, 128)]
+    assert weight_builds == [300, 300, 300]
+
+
 def test_petersson_recover_builds_each_table_once(fresh_tables, monkeypatch):
     monkeypatch.setattr(lseries, "TIERS", {11: (100, 0.0), 10: (1000, 0.0), 9: (1000, 0.0), 8: (3000, 0.0)})
     petersson_recover()
     assert len(fresh_tables) == 3 and set(fresh_tables) == {("tau", 3000), (1, 3000), (3, 1000)}
 
 
-def test_tau_table_long_enough_after_query():
+def test_tau_table_long_enough_after_query(fresh_tables):
     shifted_L(LQuery(3, 1, 11, 250))
+    built = list(fresh_tables)
+    assert forms.tau(253) == tau_table(253)[253]
     assert len(tau_table(253)) >= 254
+    assert fresh_tables == built  # tau(253) and tau_table(253) read the words the query built
 
 
 def test_printed_values_table():

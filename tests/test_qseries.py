@@ -252,4 +252,4 @@ def test_deep_products_match_closed_forms():
     assert E4 * E6 == eisenstein(10, prec).series
     disc = (E4**3 - E6 * E6).scale(Rat(1, 1728))
     assert disc[0] == 0
-    assert list(disc.coeffs[1:]) == _kernels.tau_numbers(prec - 1)[1:prec]
+    assert list(disc.coeffs[1:]) == _kernels.tau_numbers(prec - 1, _kernels.tau_words(prec - 1))[1:prec]
