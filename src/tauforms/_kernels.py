@@ -320,6 +320,8 @@ def tau_numbers(nmax: int, words: np.ndarray) -> list[int]:
 
     It only assembles: the FFT build is :func:`tau_words`' alone.
     """
+    if words.shape[1] <= nmax:
+        raise ValueError(f"tau words hold tau(0..{words.shape[1] - 1}), asked for tau(0..{nmax})")
     lo, hi = words[:, 1 : nmax + 1]
     out = [0]
     for start in range(0, nmax, _CHUNK):

@@ -9,7 +9,6 @@ only in the L-series layer.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb, lcm
 
@@ -49,10 +48,6 @@ def integer_vector(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (d // e) for c, e in zip(coeffs, dens)], d
 
 
-_bernoulli_cache: list = [ONE]
-_bernoulli_lock = threading.Lock()
-
-
 def bernoulli(k: int) -> Rat:
     """k-th Bernoulli number (B1 = -1/2 convention), for even k.
 
@@ -64,13 +59,11 @@ def bernoulli(k: int) -> Rat:
         raise ValueError("Bernoulli index must be nonnegative")
     if k % 2 == 1:
         raise ValueError("odd-index Bernoulli")
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= k:
-            n = len(_bernoulli_cache)
-            # sum_{j=0}^{n} C(n+1, j) B_j = 0
-            s = sum(comb(n + 1, j) * _bernoulli_cache[j] for j in range(n))
-            _bernoulli_cache.append(Rat(-1, n + 1) * s)
-        return _bernoulli_cache[k]
+    b = [ONE]
+    for n in range(1, k + 1):
+        # sum_{j=0}^{n} C(n+1, j) B_j = 0
+        b.append(Rat(-1, n + 1) * sum(comb(n + 1, j) * b[j] for j in range(n)))
+    return b[k]
 
 
 def binomial(n: int, k: int) -> int:

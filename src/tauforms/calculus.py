@@ -22,10 +22,8 @@ how the downstream tau relations are generated.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .arith import Rat, binomial, pochhammer
-from .forms import CACHE_MAXSIZE, Form, e2, eisenstein
+from .forms import Form, _e2_power, e2, eisenstein
 from .qseries import QSeries
 
 
@@ -40,11 +38,6 @@ class SeedConditionError(ValueError):
 def _require_modular(f: Form, op: str) -> None:
     if f.quasimodular:
         raise QuasimodularInput(f"{op} requires modular input, got a quasimodular form of weight {f.weight}")
-
-
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _e2_power(r: int, prec: int) -> QSeries:
-    return e2(prec).series ** r
 
 
 def _rc_coeffs(k: int, l: int, n: int) -> list[int]:

@@ -12,18 +12,13 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from . import _kernels
 from .arith import ZERO, InconsistentSystem, Rat, as_rat, bernoulli, rat_str, solve_exact
 from .qseries import QSeries, check_prec
-
-#: Bound on every cache keyed by precision (here and in ``calculus``); the
-#: least recently used entry is dropped once a cache holds this many.
-CACHE_MAXSIZE = 64
-
 
 def sigma(a: int, n: int) -> int:
     """Divisor power sum over d | n."""
@@ -142,27 +137,32 @@ class Form:
         return Form(self.weight + 2 * j, self.series.derive(j), is_cusp=False, quasimodular=True)
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def eisenstein(k: int, prec: int) -> Form:
     """Normalized weight-k Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
     if k % 2 or k < 4:
         raise ValueError(f"Eisenstein weight must be even and >= 4 (for weight 2 use e2), got {k}")
-    check_prec(prec)
-    c = Rat(-2 * k) / bernoulli(k)
-    p, q = c.numerator, c.denominator
-    sig = sigma_sieve(k - 1, prec - 1)
-    return Form(k, QSeries._from_ints([q] + [p * x for x in sig[1:]], q))
+
+    def build(p: int) -> QSeries:
+        c = Rat(-2 * k) / bernoulli(k)
+        sig = sigma_sieve(k - 1, p - 1)
+        return QSeries._from_ints([c.denominator] + [c.numerator * x for x in sig[1:]], c.denominator)
+
+    return Form(k, _series(("E", k), prec, build))
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def e2(prec: int) -> Form:
     """The quasimodular series of weight 2: 1 - 24 sum sigma_1(n) q^n."""
-    check_prec(prec)
-    sig = sigma_sieve(1, prec - 1)
-    return Form(2, QSeries._from_ints([1] + [-24 * x for x in sig[1:]]), quasimodular=True)
+    series = _series(("E2", 1), prec, lambda p: QSeries._from_ints([1] + [-24 * x for x in sigma_sieve(1, p - 1)[1:]]))
+    return Form(2, series, quasimodular=True)
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
+def _e2_power(r: int, prec: int) -> QSeries:
+    """E2^r; E2 and each power r >= 2 are store entries."""
+    if r < 2:
+        return e2(prec).series if r else QSeries.one(prec)
+    return _series(("E2", r), prec, lambda p: e2(p).series ** r)
+
+
 def one(prec: int) -> Form:
     """The constant 1 as the weight-0 form."""
     return Form(0, QSeries.one(prec))
@@ -173,28 +173,28 @@ def delta_series(prec: int) -> QSeries:
     if prec < 2:
         raise ValueError("delta needs precision >= 2 to see its leading term")
     check_prec(prec)
-    return QSeries([ZERO] + [Rat(t) for t in tau_table(prec - 1)[1:prec]])
+    return QSeries._from_ints(tau_table(prec - 1))
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def delta(prec: int) -> Form:
     """The discriminant cusp form of weight 12."""
     return Form(12, delta_series(prec), is_cusp=True)
 
 
 # ---------------------------------------------------------------------------
-# The one store of integer tables, each an ndarray indexed by n on its last
-# axis: the two int64 words of tau as a 2 x (n + 1) array under "tau words",
-# sigma_a as an int64 array under ("sigma", a), and the limbs of the L-series
-# weights under ("weights", s, G) (kept by ``lseries``).  ``_table`` holds the
-# one growth rule.  The lock is reentrant because a weight table is built
-# under it from ``tau_words``.
+# The one store, each entry indexed by n on its last axis: the two int64 words
+# of tau as a 2 x (n + 1) array under "tau words", sigma_a as an int64 array
+# under ("sigma", a), the limbs of the L-series weights under ("weights", s, G)
+# (kept by ``lseries``), and the exact q-series E_k, E2^r and E4^a E6^b under
+# ("E", k), ("E2", r) and ("E4^a E6^b", a, b).  ``_table`` holds the one growth
+# rule.  The lock is reentrant because some entries are built under it from
+# others: a weight table from the tau words, E2^r and E4^a E6^b from E2, E4, E6.
 
 _tables_lock = threading.RLock()
-_tables: dict[object, np.ndarray] = {}
+_tables: dict[object, np.ndarray | QSeries] = {}
 
 
-def _table(key, nmax: int, build) -> np.ndarray:
+def _table(key, nmax: int, build):
     """The table ``key`` up to at least index nmax, from ``build(n)`` when too short.
 
     The first build is exact; a rebuild takes at least 1.5x the old length
@@ -205,11 +205,18 @@ def _table(key, nmax: int, build) -> np.ndarray:
         raise ValueError(f"table size must be >= 0, got {nmax}")
     with _tables_lock:
         table = _tables.get(key)
-        if table is None or table.shape[-1] <= nmax:
-            if table is not None:
-                nmax = max(nmax, min(table.shape[-1] * 3 // 2, _kernels._MAX_PREC))
-            table = _tables[key] = build(nmax)
+        size = 0 if table is None else table.prec if isinstance(table, QSeries) else table.shape[-1]
+        if size <= nmax:
+            table = _tables[key] = build(max(nmax, min(size * 3 // 2, _kernels._MAX_PREC)))
         return table
+
+
+def _series(key, prec: int, build) -> QSeries:
+    """The stored series ``key`` to prec coefficients; ``build(p)`` makes it to
+    p >= prec coefficients (at most ``_MAX_PREC``) when the stored one is shorter."""
+    check_prec(prec)
+    stored = _table(key, prec - 1, lambda n: build(min(n + 1, _kernels._MAX_PREC)))
+    return stored if stored.prec == prec else stored.truncate(prec)
 
 
 def tau_words(nmax: int) -> np.ndarray:
@@ -261,15 +268,16 @@ def dim_sk(k: int) -> int:
     return dim_mk(k) - 1
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
 def mk_basis(k: int, prec: int) -> tuple[Form, ...]:
     """All monomials E4^a E6^b of weight k, a descending."""
     if k % 2 or k < 4:
         raise ValueError(f"monomial basis needs even weight >= 4, got {k}")
-    out = []
-    for a, b in _monomial_exponents(k):
-        out.append(eisenstein(4, prec) ** a * eisenstein(6, prec) ** b)
-    return tuple(out)
+    return tuple(Form(k, _monomial(a, b, prec)) for a, b in _monomial_exponents(k))
+
+
+def _monomial(a: int, b: int, prec: int) -> QSeries:
+    """E4^a E6^b, a store entry."""
+    return _series(("E4^a E6^b", a, b), prec, lambda p: eisenstein(4, p).series ** a * eisenstein(6, p).series ** b)
 
 
 @dataclass(frozen=True)
@@ -287,8 +295,8 @@ class BasisCoords:
 
     def reconstruct(self, prec: int) -> Form:
         total = None
-        for (a, b), c in self.coords:
-            term = (eisenstein(4, prec) ** a * eisenstein(6, prec) ** b).scale(c)
+        for (_, c), m in zip(self.coords, mk_basis(self.weight, prec)):
+            term = m.scale(c)
             total = term if total is None else total + term
         if total is None:
             raise ValueError("empty coordinate list")
@@ -335,9 +343,10 @@ def in_basis(f: Form) -> BasisCoords:
     return BasisCoords(f.weight, tuple(zip(exponents, sol)))
 
 
-@lru_cache(maxsize=CACHE_MAXSIZE)
-def _e12_delta_matrix(prec: int) -> tuple[BasisCoords, BasisCoords]:
-    return in_basis(eisenstein(12, prec)), in_basis(delta(prec))
+@cache
+def _e12_delta_matrix() -> tuple[BasisCoords, BasisCoords]:
+    # Constants: the weight-12 Sturm bound is 2, so 12 coefficients certify them.
+    return in_basis(eisenstein(12, 12)), in_basis(delta(12))
 
 
 def e12_delta_coords(f: Form) -> tuple[Rat, Rat]:
@@ -345,7 +354,7 @@ def e12_delta_coords(f: Form) -> tuple[Rat, Rat]:
     if f.weight != 12:
         raise ValueError("E12/Delta coordinates only exist in weight 12")
     coords = in_basis(f)
-    e12c, deltac = _e12_delta_matrix(f.prec)
+    e12c, deltac = _e12_delta_matrix()
     cols = [[e12c.coeff(3, 0), e12c.coeff(0, 2)], [deltac.coeff(3, 0), deltac.coeff(0, 2)]]
     target = [coords.coeff(3, 0), coords.coeff(0, 2)]
     x = solve_exact(cols, target)

@@ -24,10 +24,11 @@ each chunk sum below 2^63; only the per-limb chunk sums are combined in
 Python ints.  The envelope is screened in float64 and its few candidates
 compared exactly (:func:`_largest_term`).
 
-The tau words, sigma_a and the weight limbs live in one store in ``forms``
-with one growth rule: the first build is exact and a rebuild takes at least
-1.5x the old length.  A weight table is built from the tau words, and sizes
-them to its own length.  The two sweeps size the tables up front:
+The tau words, sigma_a and the weight limbs live in the one store of
+``forms`` (beside the exact series E_k, E2^r and E4^a E6^b) with one growth
+rule: the first build is exact and a rebuild takes at least 1.5x the old
+length.  A weight table is built from the tau words, and sizes them to its own
+length.  The two sweeps size the tables up front:
 ``verify_sweep`` builds the weights (and so the tau words) once to
 ``max(ms) + cutoff``, and ``lvalues_m0`` builds the tau words and each
 sigma_a once to the longest cutoff it needs.  Ad-hoc loops rely on the 1.5x

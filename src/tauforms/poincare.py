@@ -270,7 +270,7 @@ def fourth_order_seed(m: int, prec: int) -> QSeries:
 
     combo = (
         s4
-        + e8.series.truncate(prec).scale(Rat(-35, 864))
+        + e8.series.scale(Rat(-35, 864))
         + _rc_seed_series(e4, 4, m, 2).scale(Rat(-7, 40))
         + _rc_seed_series(e6, 4, m, 1).scale(Rat(35, 432))
     )
@@ -365,11 +365,6 @@ def identity_relation(entry: TauIdentity, m: int, cutoff: int) -> TauRelation:
     num = (m**11 * q, *(p * sig[n] * (m + n) ** e for n in range(1, cutoff + 1)))
     g = gcd(q, *num)
     return TauRelation(m, tuple(x // g for x in num), q // g, origin=entry.description)
-
-
-def identity_stream(entry: TauIdentity, m: int, cutoff: int) -> tuple[Rat, ...]:
-    """The coefficients c_0..c_cutoff of :func:`identity_relation` as rationals."""
-    return identity_relation(entry, m, cutoff).coeffs
 
 
 # Which vanishing relations each identity is eliminated from.

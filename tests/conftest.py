@@ -3,8 +3,8 @@ from hypothesis import HealthCheck, settings
 
 from tauforms import _kernels, forms
 
-# First calls may build shared tables (tau, Eisenstein caches); per-example
-# deadlines would make those runs flaky.
+# First calls may build entries of the shared table store (tau, sigma, the
+# exact Eisenstein series); per-example deadlines would make those runs flaky.
 settings.register_profile(
     "tauforms", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -13,7 +13,8 @@ settings.load_profile("tauforms")
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """An empty table store (tau words, sigma and weights), and a log of every kernel build.
+    """An empty table store (tau words, sigma, weights and the exact series E_k,
+    E2^r and E4^a E6^b), and a log of every kernel build.
 
     The returned list gets ``("tau", nmax)`` for each ``eta24_modp`` build (the
     FFT build of tau(1..nmax), whichever table asked for it) and ``(a, nmax)``

@@ -1,6 +1,6 @@
 import pytest
 
-from tauforms.arith import Rat
+from tauforms.arith import Rat, bernoulli
 from tauforms.calculus import (
     QuasimodularInput,
     SeedConditionError,
@@ -11,7 +11,7 @@ from tauforms.calculus import (
     serre_recursive,
     serre_seed,
 )
-from tauforms.forms import CACHE_MAXSIZE, Form, delta, e2, eisenstein, in_basis
+from tauforms.forms import Form, delta, e2, eisenstein, in_basis, sigma
 from tauforms.qseries import QSeries
 
 PREC = 100
@@ -227,24 +227,50 @@ def test_e2_cubed_relation():
     assert lhs == rhs
 
 
-def test_precision_caches_are_bounded():
+def test_exact_series_live_in_the_table_store(fresh_tables, monkeypatch):
     from tauforms import calculus, forms
 
-    calls = [
-        (forms.eisenstein, lambda p: (4, p)),
-        (forms.e2, lambda p: (p,)),
-        (forms.one, lambda p: (p,)),
-        (forms.delta, lambda p: (p,)),
-        (forms.mk_basis, lambda p: (8, p)),
-        (forms._e12_delta_matrix, lambda p: (p,)),
-        (calculus._e2_power, lambda p: (2, p)),
-    ]
-    for prec in range(10, 110):
-        for cached, args in calls:
-            cached(*args(prec))
-    for cached, _ in calls:
-        info = cached.cache_info()
-        assert info.maxsize == CACHE_MAXSIZE and info.currsize <= CACHE_MAXSIZE, cached.__name__
+    sieves = []
+    real_sieve = forms.sigma_sieve
+
+    def sigma_sieve(a, nmax):
+        sieves.append((a, nmax))
+        return real_sieve(a, nmax)
+
+    monkeypatch.setattr(forms, "sigma_sieve", sigma_sieve)
+    top = 110
+
+    def eis(k):  # an independent build: trial-division sigma, rational coefficients
+        c = Rat(-2 * k) / bernoulli(k)
+        return QSeries([1] + [c * sigma(k - 1, n) for n in range(1, top)])
+
+    e2s = QSeries([1] + [-24 * sigma(1, n) for n in range(1, top)])
+    e4, e6 = eis(4), eis(6)
+    requests = {  # store key: (request at prec p, reference to prec top)
+        ("E", 4): (lambda p: eisenstein(4, p).series, e4),
+        ("E", 6): (lambda p: eisenstein(6, p).series, e6),
+        ("E", 10): (lambda p: eisenstein(10, p).series, eis(10)),
+        ("E2", 1): (lambda p: e2(p).series, e2s),
+        ("E2", 3): (lambda p: calculus._e2_power(3, p), e2s * e2s * e2s),
+        ("E4^a E6^b", 3, 0): (lambda p: forms.mk_basis(12, p)[0].series, e4 * e4 * e4),
+        ("E4^a E6^b", 0, 2): (lambda p: forms.mk_basis(12, p)[1].series, e6 * e6),
+    }
+
+    def request_all(precs):
+        for p in precs:
+            for key, (get, ref) in requests.items():
+                assert get(p) == QSeries(ref.coeffs[:p]), (key, p)
+
+    request_all(range(10, top + 1))
+    # E4: the first build is exact, each rebuild at least 1.5x the old length
+    assert [n + 1 for a, n in sieves if a == 3] == [10, 16, 25, 38, 58, 88, 133]
+    stored = dict(forms._tables)
+    assert set(stored) == set(requests)  # one entry per series key
+    assert all(s.prec <= 1.5 * top for s in stored.values())
+    built = list(sieves)
+    request_all(range(top, 9, -1))
+    assert sieves == built  # every request was covered: nothing built
+    assert forms._tables == stored and all(forms._tables[k] is s for k, s in stored.items())
 
 
 def test_public_names_resolve_once():

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tauforms
 from tauforms import _kernels, expr, lseries
 from tauforms.arith import Rat
 from tauforms.cli import main
@@ -145,6 +150,20 @@ def test_cli_basis(capsys):
     coeffs = {(t["a"], t["b"]): t["coeff"] for t in out["terms"]}
     assert coeffs[(3, 0)] == "-2"
     assert coeffs[(0, 2)] == "2"
+
+
+def test_cli_output_does_not_depend_on_request_order(capsys, fresh_tables):
+    # One process asks for 50, 10, then 80 coefficients from one store; each
+    # answer must equal the same command's in a fresh process.
+    src = str(Path(tauforms.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for prec in ("50", "10", "80"):
+        for argv in (["expand", "E4^3 + Delta", "--prec", prec], ["basis", "RC(E4,E6,1)", "--prec", prec]):
+            assert main(argv) == 0
+            fresh = subprocess.run(
+                [sys.executable, "-m", "tauforms.cli", *argv], env=env, capture_output=True, text=True, check=True
+            )
+            assert capsys.readouterr().out == fresh.stdout, argv
 
 
 def test_cli_basis_rejects_e2(capsys):

@@ -127,7 +127,6 @@ def test_tau_reads_the_words_a_sweep_prepared(fresh_tables):
 
 def test_delta_reads_the_shared_tau_table(fresh_tables):
     table = tau_table(500)
-    delta.cache_clear()
     d = delta(150)
     assert fresh_tables == [("tau", 500)]
     assert list(d.series.coeffs) == table[:150]

@@ -26,6 +26,14 @@ def test_tau_numbers_digest_is_pinned(tau):
     assert hashlib.sha256(",".join(map(str, tau)).encode()).hexdigest() == TAU_1E5_SHA256
 
 
+def test_tau_numbers_refuses_words_shorter_than_asked():
+    words = _kernels.tau_words(5)
+    assert _kernels.tau_numbers(5, words) == [0, 1, -24, 252, -1472, 4830]
+    for nmax in (6, 10):
+        with pytest.raises(ValueError, match=r"tau words hold tau\(0\.\.5\)"):
+            _kernels.tau_numbers(nmax, words)
+
+
 def test_hecke_prime_squares_near_1e5(tau):
     for p in (293, 307, 311, 313):  # p^2 from 85849 to 97969
         assert tau[p * p] == tau[p] ** 2 - p**11

@@ -234,7 +234,15 @@ def test_tables_are_built_once_under_concurrent_requests(fresh_tables):
 
     def work():
         results.append(
-            (tau_words(3000), tau_table(3000), lseries._sigma(1, 3000), lseries._weights(11, 3000, 128))
+            (
+                tau_words(3000),
+                tau_table(3000),
+                lseries._sigma(1, 3000),
+                lseries._weights(11, 3000, 128),
+                forms.eisenstein(4, 300).series,
+                forms._e2_power(2, 300),
+                forms.mk_basis(12, 300)[1].series,
+            )
         )
 
     threads = [threading.Thread(target=work) for _ in range(8)]
@@ -250,8 +258,9 @@ def test_tables_are_built_once_under_concurrent_requests(fresh_tables):
     assert not any(t.is_alive() for t in threads)
     assert len(fresh_tables) == 2 and set(fresh_tables) == {("tau", 3000), (1, 3000)}
     assert len(results) == 8
-    # every thread got the one stored array of each table, and equal tau lists
-    stored = [(words, sig, weights[1]) for words, _, sig, weights in results]
+    # every thread got the one stored array or series of each entry, and equal tau lists
+    stored = [(words, sig, weights[1], *series) for words, _, sig, weights, *series in results]
+    assert set(forms._tables) >= {("E", 4), ("E", 6), ("E2", 1), ("E2", 2), ("E4^a E6^b", 0, 2)}
     assert all(x is y for r in stored for x, y in zip(r, stored[0]))
     assert all(r[1] == results[0][1] for r in results)
 

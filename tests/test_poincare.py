@@ -18,7 +18,7 @@ from tauforms.poincare import (
     fourth_order_seed,
     fourth_order_seed_closed_form,
     identity_catalog,
-    identity_stream,
+    identity_relation,
     reduce_weight12,
     relation_bracket_e4_p6,
     relation_e4_shift,
@@ -225,7 +225,7 @@ def test_catalog_prefactors():
 
 def test_identity_stream_shape():
     entry = catalog_identity("herrero")
-    stream = identity_stream(entry, 2, 10)
+    stream = identity_relation(entry, 2, 10).coeffs
     assert stream[0] == Rat(2) ** 11
     assert stream[3] == Rat(240 * 2**11) * sigma(3, 3)
 
