@@ -87,29 +87,28 @@ def pochhammer(a: int, m: int) -> int:
 # Exact dense linear algebra (small systems only).
 
 
-def rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form over Rat; returns (matrix, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    piv = 0
-    pivots = []
-    for col in range(ncols):
-        if piv >= len(rows):
-            break
-        r = next((i for i in range(piv, len(rows)) if rows[i][col] != 0), None)
-        if r is None:
+def _bareiss(a: list[list[int]]) -> list[int]:
+    """Fraction-free row echelon form of an integer matrix, in place; returns the pivot columns.
+
+    Bareiss (Math. Comp. 22, 1968): after s pivots every entry below them is
+    an (s+1)-minor of the input, so each division by the previous pivot is
+    exact and no rational appears.
+    """
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if i is None:
             continue
-        rows[piv], rows[r] = rows[r], rows[piv]
-        inv = ONE / rows[piv][col]
-        rows[piv] = [x * inv for x in rows[piv]]
-        for i in range(len(rows)):
-            if i != piv and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[piv])]
+        a[r], a[i] = a[i], a[r]
+        top, p = a[r], a[r][col]
+        for row in a[r + 1 :]:
+            f = row[col]
+            row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top[col:])]
+        prev = p
         pivots.append(col)
-        piv += 1
-    return rows, pivots
+    return pivots
 
 
 class InconsistentSystem(ValueError):
@@ -140,11 +139,14 @@ def solve_exact(columns: list, target) -> list:
     k = len(columns)
     ints, dens = zip(*map(_integer_column, (*columns, target)))
     nrows = len(ints[k])
+    big = lcm(*dens)
+    scales = [big // d for d in dens]
     window = 2 * k + 2
     while True:
         rows = min(window, nrows)
-        aug = [[Rat(ints[j][i], dens[j]) for j in range(k + 1)] for i in range(rows)]
-        aug, pivots = rref(aug)
+        # Every column over the one denominator big: row i reads sum_j x_j a[i][j] == a[i][k].
+        a = [[ints[j][i] * scales[j] for j in range(k + 1)] for i in range(rows)]
+        pivots = _bareiss(a)
         if k in pivots:
             raise InconsistentSystem("target not in span")
         if len(pivots) == k or rows == nrows:
@@ -152,18 +154,23 @@ def solve_exact(columns: list, target) -> list:
         window *= 2
     if len(pivots) < k:
         raise ValueError("columns are linearly dependent")
-    sol = [ZERO] * k
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][k]
+    # Back substitution on the k pivot rows in integers: by Cramer's rule
+    # y_j = det x_j is an integer, det being the last pivot (the minor of those rows).
+    det = a[k - 1][k - 1] if k else 1
+    y = [0] * k
+    for j in reversed(range(k)):
+        y[j] = (det * a[j][k] - sum(a[j][l] * y[l] for l in range(j + 1, k))) // a[j][j]
+    sol = [Rat(v, det) for v in y]
     # Check every row in integers.  Column j is C_j / d_j, the target T / d_t
     # and the solution w / s; over L = lcm(d_j, d_t) each row reads
     # sum_j (w_j L/d_j) C_j[i] == (s L/d_t) T[i].
-    big = lcm(*dens)
     s = lcm(*(x.denominator for x in sol))
-    weights = [x.numerator * (s // x.denominator) * (big // d) for x, d in zip(sol, dens)]
-    t_scale = s * (big // dens[k])
-    for i, row in enumerate(zip(*ints)):
-        if sum(w * c for w, c in zip(weights, row)) != t_scale * row[k]:
+    weights = [x.numerator * (s // x.denominator) * f for x, f in zip(sol, scales)]
+    residual = [s * scales[k] * t for t in ints[k]]
+    for w, col in zip(weights, ints):
+        residual = [r - w * c for r, c in zip(residual, col)]
+    for i, r in enumerate(residual):
+        if r:
             raise InconsistentSystem(f"residual at row {i}")
     return sol
 

@@ -23,7 +23,7 @@ how the downstream tau relations are generated.
 from __future__ import annotations
 
 from .arith import Rat, binomial, pochhammer
-from .forms import Form, _e2_power, e2, eisenstein
+from .forms import Form, _e2_power, _monomial, e2, eisenstein
 from .qseries import QSeries
 
 
@@ -77,7 +77,7 @@ def serre(f: Form, m: int) -> Form:
     prec = f.prec
     total = None
     for r, c in enumerate(_serre_coeffs(k, m)):
-        term = (_e2_power(m - r, prec) * f.series.derive(r)).scale(c)
+        term = (_e2_power(m - r, prec) * f.series.derive(r) if r < m else f.series.derive(r)).scale(c)
         total = term if total is None else total + term
     return Form(k + 2 * m, total, is_cusp=f.is_cusp)
 
@@ -181,7 +181,7 @@ def ramanujan_derivatives(prec: int = 200) -> tuple[QSeries, QSeries, QSeries]:
     E2s = e2(prec).series
     E4s = eisenstein(4, prec).series
     E6s = eisenstein(6, prec).series
-    r1 = E2s.derive(1) - (E2s * E2s - E4s).scale(Rat(1, 12))
+    r1 = E2s.derive(1) - (_e2_power(2, prec) - E4s).scale(Rat(1, 12))
     r2 = E4s.derive(1) - (E2s * E4s - E6s).scale(Rat(1, 3))
-    r3 = E6s.derive(1) - (E2s * E6s - E4s * E4s).scale(Rat(1, 2))
+    r3 = E6s.derive(1) - (E2s * E6s - _monomial(2, 0, prec)).scale(Rat(1, 2))
     return r1, r2, r3

@@ -157,10 +157,10 @@ def e2(prec: int) -> Form:
 
 
 def _e2_power(r: int, prec: int) -> QSeries:
-    """E2^r; E2 and each power r >= 2 are store entries."""
+    """E2^r; E2 and each power r >= 2 are store entries, E2^r made as E2^(r-1) E2."""
     if r < 2:
         return e2(prec).series if r else QSeries.one(prec)
-    return _series(("E2", r), prec, lambda p: e2(p).series ** r)
+    return _series(("E2", r), prec, lambda p: _e2_power(r - 1, p) * e2(p).series)
 
 
 def one(prec: int) -> Form:
@@ -188,7 +188,7 @@ def delta(prec: int) -> Form:
 # (kept by ``lseries``), and the exact q-series E_k, E2^r and E4^a E6^b under
 # ("E", k), ("E2", r) and ("E4^a E6^b", a, b).  ``_table`` holds the one growth
 # rule.  The lock is reentrant because some entries are built under it from
-# others: a weight table from the tau words, E2^r and E4^a E6^b from E2, E4, E6.
+# others: a weight table from the tau words, a power or monomial from a lower one.
 
 _tables_lock = threading.RLock()
 _tables: dict[object, np.ndarray | QSeries] = {}
@@ -276,8 +276,12 @@ def mk_basis(k: int, prec: int) -> tuple[Form, ...]:
 
 
 def _monomial(a: int, b: int, prec: int) -> QSeries:
-    """E4^a E6^b, a store entry."""
-    return _series(("E4^a E6^b", a, b), prec, lambda p: eisenstein(4, p).series ** a * eisenstein(6, p).series ** b)
+    """E4^a E6^b for a + b >= 1; E4, E6 and each monomial of degree >= 2 are store
+    entries, the latter made as E4^a E6^(b-1) E6, or E4^(a-1) E4 when b = 0."""
+    if a + b == 1:
+        return eisenstein(4 if a else 6, prec).series
+    lower, k = ((a, b - 1), 6) if b else ((a - 1, 0), 4)
+    return _series(("E4^a E6^b", a, b), prec, lambda p: _monomial(*lower, p) * eisenstein(k, p).series)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from mpmath import mp
 
 from .arith import DEFAULT_PREC_BITS, Rat, solve_exact
 from .calculus import rankin_cohen, serre, serre_seed
-from .forms import Form, _table, _tables_lock, e12_delta_coords, eisenstein, tau, tau_words
+from .forms import Form, _e2_power, _monomial, _table, _tables_lock, e12_delta_coords, e2, eisenstein, tau, tau_words
 from .poincare import TauIdentity, catalog_identity, eval_modular_seed
 from .qseries import QSeries
 from . import _kernels, forms
@@ -598,9 +598,8 @@ def exact_lhs_catalog(prec: int = 200) -> list[ExactIdentity]:
     e6 = eisenstein(6, prec)
     e8 = eisenstein(8, prec)
     e10 = eisenstein(10, prec)
-    from .forms import e2 as _e2
-
-    e2s = _e2(prec).series
+    e4e8 = eval_modular_seed(e4, 12)
+    rc46 = rankin_cohen(e4, e6, 1)  # [E6, E4]_1 = -[E4, E6]_1
     entries = []
 
     def push(label: str, lhs: Form, seed: QSeries):
@@ -608,21 +607,21 @@ def exact_lhs_catalog(prec: int = 200) -> list[ExactIdentity]:
         entries.append(ExactIdentity(label, lhs, c_e12, c_delta, seed))
 
     push("serre_derivative(E10)", serre(e10, 1), serre_seed(10, 0, 1, prec))
-    push("E8 * E4", eval_modular_seed(e4, 12), e4.series)
-    push("rankin_cohen(E4, E6, 1)", rankin_cohen(e4, e6, 1), e4.series.derive(1).scale(-6))
-    push("serre_derivative(E8, order 2)", serre(e8, 2), (e2s * e2s).scale(Rat(1, 2)))
+    push("E8 * E4", e4e8, e4.series)
+    push("rankin_cohen(E4, E6, 1)", rc46, e4.series.derive(1).scale(-6))
+    push("serre_derivative(E8, order 2)", serre(e8, 2), _e2_power(2, prec).scale(Rat(1, 2)))
     push(
         "serre_derivative(E6, order 3) + 7/36 E6^2",
-        serre(e6, 3) + (e6 * e6).scale(Rat(7, 36)),
-        (e6.series - e2s**3).scale(Rat(7, 36)),
+        serre(e6, 3) + Form(12, _monomial(0, 2, prec)).scale(Rat(7, 36)),
+        (e6.series - _e2_power(3, prec)).scale(Rat(7, 36)),
     )
     push(
         "serre_derivative(E4, order 4) - 35/864 E4 E8 - 7/40 [E4,E4]_2 + 35/432 [E6,E4]_1",
         serre(e4, 4)
-        + (e4 * e8).scale(Rat(-35, 864))
+        + e4e8.scale(Rat(-35, 864))
         + rankin_cohen(e4, e4, 2).scale(Rat(-7, 40))
-        + rankin_cohen(e6, e4, 1).scale(Rat(35, 432)),
-        e2s.derive(3).scale(Rat(35, 3)),
+        + rc46.scale(Rat(-35, 432)),
+        e2(prec).series.derive(3).scale(Rat(35, 3)),
     )
     return entries
 

@@ -24,7 +24,7 @@ from math import gcd
 
 from .arith import ZERO, Rat, as_rat, rat_str, solve_exact
 from .calculus import _rc_seed_series, _serre_seed_series, rc_seed, serre_seed
-from .forms import Form, dim_sk, e2, eisenstein, sigma_sieve
+from .forms import Form, dim_sk, eisenstein, sigma_sieve
 from .qseries import QSeries
 
 
@@ -275,17 +275,6 @@ def fourth_order_seed(m: int, prec: int) -> QSeries:
         + _rc_seed_series(e6, 4, m, 1).scale(Rat(35, 432))
     )
     return combo
-
-
-def fourth_order_seed_closed_form(m: int, prec: int) -> QSeries:
-    """m^4 - 7/3 m^3 E2 + 21 m^2 D E2 - 35 m D^2 E2 + 35/3 D^3 E2."""
-    E2s = e2(prec).series
-    out = QSeries.constant(Rat(m) ** 4, prec)
-    out = out + E2s.scale(Rat(-7 * m**3, 3))
-    out = out + E2s.derive(1).scale(Rat(21 * m**2))
-    out = out + E2s.derive(2).scale(Rat(-35 * m))
-    out = out + E2s.derive(3).scale(Rat(35, 3))
-    return out
 
 
 def relation_fourth_order(m: int, cutoff: int) -> TauRelation:

@@ -182,28 +182,28 @@ class QSeries:
         return cls(coeffs)
 
 
-def _pack(vec, slot_bytes: int) -> int:
-    """sum vec[i] 2^(8 slot_bytes i) for signed vec[i], each of magnitude below the slot."""
-    pos = b"".join((x if x > 0 else 0).to_bytes(slot_bytes, "little") for x in vec)
-    neg = b"".join((-x if x < 0 else 0).to_bytes(slot_bytes, "little") for x in vec)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
 def _kronecker_product(va, vb) -> list[int]:
     """The first n = min(len(va), len(vb)) coefficients of the product of two integer vectors.
 
     Each operand is packed into one integer (Kronecker substitution), so the
     product is one big-integer multiply.  A slot of K bits (whole bytes)
     holds a signed coefficient of the result: |c_k| <= n max|a_i| max|b_j| <
-    2^(K-1).  Adding 2^(K-1) to every one of the low n slots makes them
+    2^(K-1), so also every operand entry.  An operand is packed in one pass
+    as the slots x + 2^(K-1) less that offset packed once, and a square packs
+    its operand once; the offset added to the product makes its low n slots
     nonnegative, so they unpack without borrows.
     """
     n = min(len(va), len(vb))
     va, vb = va[:n], vb[:n]
-    bits = max(abs(x) for x in va).bit_length() + max(abs(x) for x in vb).bit_length()
+    bits = max(map(abs, va)).bit_length() + max(map(abs, vb)).bit_length()
     slot = (bits + n.bit_length() + 2 + 7) // 8
     half = 1 << (8 * slot - 1)
     offset = int.from_bytes(half.to_bytes(slot, "little") * n, "little")
-    low = (_pack(va, slot) * _pack(vb, slot) + offset) & ((1 << (8 * slot * n)) - 1)
+
+    def pack(vec) -> int:
+        return int.from_bytes(b"".join([(x + half).to_bytes(slot, "little") for x in vec]), "little") - offset
+
+    a = pack(va)
+    low = ((a * a if va == vb else a * pack(vb)) + offset) & ((1 << (8 * slot * n)) - 1)
     raw = low.to_bytes(slot * n, "little")
     return [int.from_bytes(raw[i : i + slot], "little") - half for i in range(0, slot * n, slot)]

@@ -1,13 +1,16 @@
-from math import comb
+from math import comb, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauforms import QSeries
 from tauforms.arith import (
+    ONE,
+    ZERO,
     InconsistentSystem,
     Rat,
+    _integer_column,
     as_rat,
     bernoulli,
     binomial,
@@ -158,3 +161,111 @@ def test_solve_exact_takes_integer_columns_as_they_are():
     off = QSeries(list(target.coeffs[:-1]) + [target[39] + Rat(1, 10**30)])
     with pytest.raises(InconsistentSystem, match="residual at row 39"):
         solve_exact(cols, off)
+
+
+def rref(rows: list[list]) -> tuple[list[list], list[int]]:
+    """In-place reduced row echelon form over Rat; returns (matrix, pivot columns)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    piv = 0
+    pivots = []
+    for col in range(ncols):
+        if piv >= len(rows):
+            break
+        r = next((i for i in range(piv, len(rows)) if rows[i][col] != 0), None)
+        if r is None:
+            continue
+        rows[piv], rows[r] = rows[r], rows[piv]
+        inv = ONE / rows[piv][col]
+        rows[piv] = [x * inv for x in rows[piv]]
+        for i in range(len(rows)):
+            if i != piv and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[piv])]
+        pivots.append(col)
+        piv += 1
+    return rows, pivots
+
+
+def solve_by_rref(columns: list, target) -> list:
+    """The reference solver: ``solve_exact``'s window, messages and row check,
+    with the elimination done by ``rref`` over ``Fraction``s."""
+    k = len(columns)
+    ints, dens = zip(*map(_integer_column, (*columns, target)))
+    nrows = len(ints[k])
+    window = 2 * k + 2
+    while True:
+        rows = min(window, nrows)
+        aug = [[Rat(ints[j][i], dens[j]) for j in range(k + 1)] for i in range(rows)]
+        aug, pivots = rref(aug)
+        if k in pivots:
+            raise InconsistentSystem("target not in span")
+        if len(pivots) == k or rows == nrows:
+            break
+        window *= 2
+    if len(pivots) < k:
+        raise ValueError("columns are linearly dependent")
+    sol = [ZERO] * k
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][k]
+    big = lcm(*dens)
+    s = lcm(*(x.denominator for x in sol))
+    weights = [x.numerator * (s // x.denominator) * (big // d) for x, d in zip(sol, dens)]
+    t_scale = s * (big // dens[k])
+    for i, row in enumerate(zip(*ints)):
+        if sum(w * c for w, c in zip(weights, row)) != t_scale * row[k]:
+            raise InconsistentSystem(f"residual at row {i}")
+    return sol
+
+
+_entry = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Rat, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds(Rat, st.integers(-(10**12), 10**12), st.sampled_from((1, 7, 691, 2**61 - 1))),
+)
+
+
+@st.composite
+def _systems(draw):
+    """k <= 6 columns and a target: integer and rational entries, dependent
+    columns, inconsistent targets, and leading rows that repeat a few
+    patterns, so the first 2k+2 rows can be rank-deficient."""
+    k = draw(st.integers(1, 6))
+    nrows = draw(st.integers(k, 4 * k + 8))
+    row = st.lists(_entry, min_size=k, max_size=k)
+    patterns = draw(st.lists(row, min_size=1, max_size=k))
+    lead = draw(st.integers(0, nrows))
+    rows = [patterns[i % len(patterns)] if i < lead else draw(row) for i in range(nrows)]
+    cols = [list(c) for c in zip(*rows)]
+    if k > 1 and draw(st.booleans()):  # one column a combination of the others
+        j = draw(st.integers(0, k - 1))
+        mix = draw(st.lists(_entry, min_size=k, max_size=k))
+        cols[j] = [sum(as_rat(m) * as_rat(r[i]) for i, m in enumerate(mix) if i != j) for r in rows]
+    x = draw(st.lists(_entry, min_size=k, max_size=k))
+    target = [sum(as_rat(a) * as_rat(b) for a, b in zip(x, r)) for r in zip(*cols)]
+    kind = draw(st.sampled_from(("consistent", "perturbed", "free")))
+    if kind == "perturbed":
+        target[draw(st.one_of(st.just(nrows - 1), st.integers(0, nrows - 1)))] += draw(_entry.filter(lambda v: v != 0))
+    elif kind == "free":
+        target = draw(st.lists(_entry, min_size=nrows, max_size=nrows))
+    return cols, target
+
+
+def _outcome(solve, cols, target):
+    try:
+        sol = solve(cols, target)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert all(type(v) is Rat for v in sol)
+    return sol
+
+
+@settings(max_examples=200)
+@given(_systems())
+@example(([[1] * 40, [1] * 20 + list(range(20)), [1] * 20 + [i * i for i in range(20)]], [3] * 20 + [3 + i for i in range(20)]))
+@example(([[0] * 9, [1] * 9], [2] * 9))
+@example(([[Rat(1, 3)] * 5 + [1], [Rat(2, 3)] * 5 + [Rat(5, 7)]], [1] * 6))
+def test_solve_exact_matches_the_fraction_reference(system):
+    cols, target = system
+    assert _outcome(solve_exact, cols, target) == _outcome(solve_by_rref, cols, target)

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from tauforms.arith import Rat, bernoulli
@@ -265,12 +267,36 @@ def test_exact_series_live_in_the_table_store(fresh_tables, monkeypatch):
     # E4: the first build is exact, each rebuild at least 1.5x the old length
     assert [n + 1 for a, n in sieves if a == 3] == [10, 16, 25, 38, 58, 88, 133]
     stored = dict(forms._tables)
-    assert set(stored) == set(requests)  # one entry per series key
+    # one entry per series key, and the lower entries that E2^3 and E4^3 are made from
+    assert set(stored) == set(requests) | {("E2", 2), ("E4^a E6^b", 2, 0)}
     assert all(s.prec <= 1.5 * top for s in stored.values())
     built = list(sieves)
     request_all(range(top, 9, -1))
     assert sieves == built  # every request was covered: nothing built
     assert forms._tables == stored and all(forms._tables[k] is s for k, s in stored.items())
+
+
+def test_each_exact_product_is_made_once(fresh_tables, monkeypatch, capsys):
+    # The benchmark's exact op list at seed 3, in one process: selftest,
+    # derive_identity for the six ids at m = 28, and one bracket's basis.
+    from tauforms import cli, poincare, qseries
+
+    real = qseries._kronecker_product
+    made = collections.Counter()
+
+    def kronecker_product(va, vb):
+        n = min(len(va), len(vb))
+        made[tuple(va[:n]), tuple(vb[:n])] += 1
+        return real(va, vb)
+
+    monkeypatch.setattr(qseries, "_kronecker_product", kronecker_product)
+    assert cli.main(["selftest", "--prec", "200"]) == 0
+    for ident in ("kumar", "herrero", "s10sig1", "s10sig3", "s9sig1", "s8sig1"):
+        poincare.derive_identity(ident, 28, cutoff=300)
+    assert cli.main(["basis", "RC(E6,E8,2)", "--prec", "150"]) == 0
+    capsys.readouterr()
+    calls, distinct = sum(made.values()), len(made)
+    assert distinct and calls == distinct, f"{calls} products, {distinct} distinct"
 
 
 def test_public_names_resolve_once():

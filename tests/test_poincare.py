@@ -16,7 +16,6 @@ from tauforms.poincare import (
     eval_modular_seed,
     ex12_seed,
     fourth_order_seed,
-    fourth_order_seed_closed_form,
     identity_catalog,
     identity_relation,
     reduce_weight12,
@@ -182,6 +181,17 @@ def test_ex12_seed_structure():
         + (E2s * E2s * E2s).scale(Rat(-7, 36))
     )
     assert ex12_seed(m, prec) == want
+
+
+def fourth_order_seed_closed_form(m: int, prec: int) -> QSeries:
+    """m^4 - 7/3 m^3 E2 + 21 m^2 D E2 - 35 m D^2 E2 + 35/3 D^3 E2."""
+    E2s = e2(prec).series
+    out = QSeries.constant(Rat(m) ** 4, prec)
+    out = out + E2s.scale(Rat(-7 * m**3, 3))
+    out = out + E2s.derive(1).scale(Rat(21 * m**2))
+    out = out + E2s.derive(2).scale(Rat(-35 * m))
+    out = out + E2s.derive(3).scale(Rat(35, 3))
+    return out
 
 
 def test_fourth_order_seed_matches_closed_form():

@@ -170,8 +170,20 @@ _runs_series = st.lists(st.tuples(_coeff, st.integers(1, 8)), min_size=1, max_si
 )
 
 
+# Squares pack their operand once.  Numerators of 10 bits at n = 3 make the
+# result's slot exactly 10 + 10 + 2 + 2 = 24 bits, no padding above the sign.
+_TIGHT = QSeries([Rat(-1023, 3)] * 3)
+_ONE_COEFF = QSeries([Rat(-5, 7)])
+
+
 @settings(max_examples=200)
 @given(_runs_series, _runs_series)
+@example(_TIGHT, _TIGHT)
+@example(QSeries([Rat(-1023, 3)] * 3), QSeries([Rat(-1023, 3)] * 3))
+@example(_TIGHT, QSeries([Rat(-1023, 5)] * 3))
+@example(_ONE_COEFF, _ONE_COEFF)
+@example(QSeries.zero(6), QSeries.zero(6))
+@example(QSeries([Rat(-(2**220), 13)] * 5), QSeries([Rat(-(2**220), 13)] * 5 + [Rat(1)]))
 @example(QSeries([Rat(-3, 7)]), QSeries([Rat(5, 11)]))
 @example(QSeries.zero(9), QSeries([Rat(2**201 + 1, 691), Rat(-1, 3617), Rat(0), Rat(7, 2)]))
 @example(QSeries([Rat(-(2**220), 13)] * 5), QSeries.zero(1))
