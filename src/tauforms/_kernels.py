@@ -5,11 +5,12 @@ identity).  f^2 = eta^6 is summed exactly in int64 from the pairs of Jacobi
 terms, and f^4 and f^8 come from two squarings in float64 FFTs, each exact:
 the operand is split into balanced limbs, so that every limb-degree sum of
 the square is an integer float64 holds exactly.  Each square takes the
-fewest limbs that its operand's limb norms allow (:func:`_limb_split`).  The
-limb degrees of f^8 are combined exactly into two int64 words per
-coefficient; :func:`tau_words` lays them out as the two rows of the tau
-table, and :func:`tau_numbers` assembles Python ints from those rows as
-``lo + (hi << 56)``.  Static bounds, checked by ``tests/test_kernels.py``,
+fewest limbs that its operand's limb norms allow (:func:`_limb_split`), and
+writes each limb into one reused zero-padded float64 buffer, so numpy makes
+no cast or padded copy per transform.  The limb degrees of f^8 are combined
+exactly into two int64 words per coefficient; :func:`tau_words` lays them
+out as the two rows of the tau table, and :func:`tau_numbers` assembles
+Python ints from those rows as ``lo + (hi << 56)``.  Static bounds, checked by ``tests/test_kernels.py``,
 hold for every table up to ``_MAX_PREC``:
 
 * **Magnitudes.**  f has at most 1414 terms, each at most 2827 in absolute
@@ -107,14 +108,16 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
 
     Computed as x - (x // p) p, because numpy divides by a scalar several
     times faster than it takes a remainder, one block of ``_MOD_BLOCK``
-    entries at a time, so that the quotients need no table-sized buffer.
+    entries at a time into one quotient buffer, so that the quotients need
+    no table-sized buffer and no new one per block.
     """
     flat = x.reshape(-1)
+    q = np.empty(min(len(flat), _MOD_BLOCK), dtype=np.int64)
     for start in range(0, len(flat), _MOD_BLOCK):
         v = flat[start : start + _MOD_BLOCK]
-        q = v // p
-        q *= p
-        v -= q
+        w = np.floor_divide(v, p, out=q[: len(v)])
+        w *= p
+        v -= w
     return x
 
 
@@ -212,9 +215,12 @@ def _square(a: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray]]:
 
     ``a`` is split into the ``count`` balanced limbs of ``bits`` bits that
     :func:`_limb_split` picks, so a * a = sum_k c_k 2^(bits k) with
-    c_k = sum_{i+j=k} a_i a_j, and shift = bits k.  Each c_k comes from one
-    float ``irfft`` of length ``size`` >= 2 len(a) - 1 and is yielded as int64,
-    in a buffer that the caller may overwrite and the next degree does.  It
+    c_k = sum_{i+j=k} a_i a_j, and shift = bits k.  Each limb is written
+    into one zero-padded float64 buffer of length ``size`` (the memory of the
+    spectrum buffer, free until the first degree), so that ``rfft`` makes no
+    cast or padded copy of its own.  Each c_k comes from one float ``irfft``
+    of length ``size`` >= 2 len(a) - 1 and is yielded as int64, in a buffer
+    that the caller may overwrite and the next degree does.  It
     must lie within 1/4 of an integer everywhere, and, once every degree has
     been consumed, the full square must agree with a(x)^2 at one point mod
     ``_PRIMES[0]`` (both sides evaluated by blocks, :func:`_at_point`); either
@@ -226,11 +232,16 @@ def _square(a: np.ndarray, size: int) -> Iterator[tuple[int, np.ndarray]]:
     count, bits = _limb_split(a)
     target = _at_point(a, p) ** 2 % p
     spectra = np.empty((count, size // 2 + 1), dtype=np.complex128)
+    spec = np.empty_like(spectra[0])
+    # spec's memory first holds each limb zero-padded; once a degree is
+    # transformed, it holds it rounded and c's memory holds it as int64.
+    r = spec.view(np.float64)[:size]
+    r[len(a) :] = 0
     for spectrum, limb in zip(spectra, _balanced(a, count, bits)):
-        rfft(limb, size, out=spectrum)
-    spec, c = np.empty_like(spectra[0]), np.empty(size)
-    # Once a degree is transformed, spec's memory holds it rounded and c's as int64.
-    r, ck = spec.view(np.float64)[:size], c.view(np.int64)
+        r[: len(a)] = limb
+        rfft(r, out=spectrum)
+    c = np.empty(size)
+    ck = c.view(np.int64)
     full = np.zeros(size, dtype=np.int64)  # the whole square mod p, for the check
     for k in range(2 * count - 2, -1, -1):
         # Every ordered pair i + j = k: limbs lo..hi against hi..lo.

@@ -59,10 +59,15 @@ def rankin_cohen(f: Form, g: Form, n: int) -> Form:
     if n < 0:
         raise ValueError("bracket order must be >= 0")
     k, l = f.weight, g.weight
-    total = None
-    for j, c in enumerate(_rc_coeffs(k, l, n)):
-        term = (f.series.derive(j) * g.series.derive(n - j)).scale(c)
-        total = term if total is None else total + term
+    terms = list(enumerate(_rc_coeffs(k, l, n)))
+    if f.series == g.series:
+        # Terms j and n - j make the same product D^j f D^(n-j) f: make it once,
+        # with both coefficients (they cancel for odd n when k = l).
+        terms = [(j, c + terms[n - j][1] if 2 * j < n else c) for j, c in terms[: n // 2 + 1]]
+    total = QSeries.zero(min(f.prec, g.prec))
+    for j, c in terms:
+        if c:
+            total = total + (f.series.derive(j) * g.series.derive(n - j)).scale(c)
     return Form(k + l + 2 * n, total, is_cusp=n >= 1 or f.is_cusp or g.is_cusp)
 
 

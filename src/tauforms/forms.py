@@ -349,8 +349,10 @@ def in_basis(f: Form) -> BasisCoords:
 
 @cache
 def _e12_delta_matrix() -> tuple[BasisCoords, BasisCoords]:
-    # Constants: the weight-12 Sturm bound is 2, so 12 coefficients certify them.
-    return in_basis(eisenstein(12, 12)), in_basis(delta(12))
+    # Constants: the weight-12 Sturm bound is 2, so 12 coefficients certify E12's.
+    # Delta = (E4^3 - E6^2)/1728 needs no tau table (``test_in_basis_delta`` checks
+    # it against the kernel's tau on 400 coefficients).
+    return in_basis(eisenstein(12, 12)), BasisCoords(12, (((3, 0), Rat(1, 1728)), ((0, 2), Rat(-1, 1728))))
 
 
 def e12_delta_coords(f: Form) -> tuple[Rat, Rat]:

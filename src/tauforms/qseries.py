@@ -134,15 +134,16 @@ class QSeries:
     def __pow__(self, e: int) -> "QSeries":
         if not isinstance(e, int) or e < 0:
             raise ValueError("series powers take integer exponents >= 0")
-        result = QSeries.one(self.prec)
-        base = self
-        while e:
+        if e == 0:
+            return QSeries.one(self.prec)
+        result, base = None, self
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     # -- the operator D = q d/dq ---------------------------------------------
 

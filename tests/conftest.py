@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tauforms import _kernels, forms
+from tauforms import _kernels, forms, qseries
 
 # First calls may build entries of the shared table store (tau, sigma, the
 # exact Eisenstein series); per-example deadlines would make those runs flaky.
@@ -37,3 +37,18 @@ def fresh_tables(monkeypatch):
     monkeypatch.setattr(_kernels, "eta24_modp", eta24_modp)
     monkeypatch.setattr(_kernels, "sigma_range", sigma_range)
     return built
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A log of every exact product: the operands of each ``_kronecker_product``
+    call, cut to the product's length, as a pair of tuples in call order."""
+    real, made = qseries._kronecker_product, []
+
+    def kronecker_product(va, vb):
+        n = min(len(va), len(vb))
+        made.append((tuple(va[:n]), tuple(vb[:n])))
+        return real(va, vb)
+
+    monkeypatch.setattr(qseries, "_kronecker_product", kronecker_product)
+    return made

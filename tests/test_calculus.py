@@ -1,11 +1,10 @@
-import collections
-
 import pytest
 
 from tauforms.arith import Rat, bernoulli
 from tauforms.calculus import (
     QuasimodularInput,
     SeedConditionError,
+    _rc_coeffs,
     ramanujan_derivatives,
     rankin_cohen,
     rc_seed,
@@ -50,6 +49,24 @@ def test_bracket_antisymmetry(n):
         lhs = rankin_cohen(f, g, n).series
         rhs = rankin_cohen(g, f, n).series.scale((-1) ** n)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize(("k", "n"), [(4, 2), (6, 4), (4, 3)])
+def test_bracket_of_equal_series_makes_each_product_once(products, k, n):
+    f, g = E(k), Form(k, QSeries(E(k).series.coeffs))  # distinct objects, one series
+    assert f is not g and f.series is not g.series
+    unpaired = QSeries.zero(PREC)
+    for j, c in enumerate(_rc_coeffs(k, k, n)):
+        unpaired = unpaired + (f.series.derive(j) * g.series.derive(n - j)).scale(c)
+    products.clear()
+    for a, b in ((f, f), (f, g)):
+        rc = rankin_cohen(a, b, n)
+        assert rc.weight == 2 * k + 2 * n and rc.is_cusp
+        assert rc.series == unpaired
+    # one product per pair {j, n - j}; for odd n the pairs cancel and none is made
+    assert len(products) == (0 if n % 2 else 2 * (n // 2 + 1))
+    if n % 2:
+        assert unpaired == QSeries.zero(PREC)
 
 
 def test_bracket_rejects_quasimodular():
@@ -276,26 +293,17 @@ def test_exact_series_live_in_the_table_store(fresh_tables, monkeypatch):
     assert forms._tables == stored and all(forms._tables[k] is s for k, s in stored.items())
 
 
-def test_each_exact_product_is_made_once(fresh_tables, monkeypatch, capsys):
+def test_each_exact_product_is_made_once(fresh_tables, products, capsys):
     # The benchmark's exact op list at seed 3, in one process: selftest,
     # derive_identity for the six ids at m = 28, and one bracket's basis.
-    from tauforms import cli, poincare, qseries
+    from tauforms import cli, poincare
 
-    real = qseries._kronecker_product
-    made = collections.Counter()
-
-    def kronecker_product(va, vb):
-        n = min(len(va), len(vb))
-        made[tuple(va[:n]), tuple(vb[:n])] += 1
-        return real(va, vb)
-
-    monkeypatch.setattr(qseries, "_kronecker_product", kronecker_product)
     assert cli.main(["selftest", "--prec", "200"]) == 0
     for ident in ("kumar", "herrero", "s10sig1", "s10sig3", "s9sig1", "s8sig1"):
         poincare.derive_identity(ident, 28, cutoff=300)
     assert cli.main(["basis", "RC(E6,E8,2)", "--prec", "150"]) == 0
     capsys.readouterr()
-    calls, distinct = sum(made.values()), len(made)
+    calls, distinct = len(products), len(set(products))
     assert distinct and calls == distinct, f"{calls} products, {distinct} distinct"
 
 

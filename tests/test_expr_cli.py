@@ -166,6 +166,32 @@ def test_cli_output_does_not_depend_on_request_order(capsys, fresh_tables):
             assert capsys.readouterr().out == fresh.stdout, argv
 
 
+_EXACT_PATH_PROBE = """
+import contextlib, io, sys
+from tauforms import cli, forms, poincare
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in {argvs!r}:
+        assert cli.main(argv) == 0, argv
+    {extra}
+print("numpy.fft" in sys.modules, "tau words" in forms._tables)
+"""
+
+
+def _probe_exact_path(argvs, extra="pass"):
+    """Run ``argvs`` through the CLI in a fresh process: (numpy.fft loaded, tau words built)."""
+    src = str(Path(tauforms.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = _EXACT_PATH_PROBE.format(argvs=argvs, extra=extra)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+def test_exact_commands_never_load_the_fft_kernel():
+    argvs = [["selftest", "--prec", "200"], ["basis", "RC(E4,E6,2)", "--prec", "150"], ["expand", "E4^3"]]
+    assert _probe_exact_path(argvs, extra='poincare.derive_identity("kumar", 5, cutoff=300)') == ["False", "False"]
+    assert _probe_exact_path([["expand", "Delta", "--prec", "20"]]) == ["True", "True"]
+
+
 def test_cli_basis_rejects_e2(capsys):
     code = main(["basis", "E2", "--prec", "12"])
     assert code == 1

@@ -47,6 +47,15 @@ def test_pow_examples():
     assert q(1, 1, 0, 0) ** 3 == q(1, 3, 3, 1)
 
 
+def test_pow_starts_from_the_base(products):
+    e4 = eisenstein(4, 30).series
+    assert e4**0 == QSeries.one(30) and e4**1 == e4 and not products
+    assert e4**3 == e4 * e4 * e4
+    products.clear()
+    e4**3
+    assert len(products) == 2  # E4^2, then E4 E4^2; never a product with 1
+
+
 def test_e2_square_coefficients():
     # coefficient of q^n in E2^2 is 240 sigma_3(n) - 288 n sigma_1(n)
     sq = e2(51).series ** 2
