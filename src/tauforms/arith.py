@@ -5,6 +5,8 @@ denominator.
 
 Big floats are mpmath values at an explicit binary precision; they appear
 only in the L-series layer.
+
+:class:`Record` is the base of the package's immutable value records.
 """
 
 from __future__ import annotations
@@ -18,6 +20,74 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 DEFAULT_PREC_BITS = 256
+
+
+class Record:
+    """An immutable record whose fields are the annotated names of its class body.
+
+    ``Point(1, y=2)`` binds arguments to the fields in order, a field left out
+    takes its class-level default, and ``__post_init__`` runs last (it may set
+    a field with ``object.__setattr__``).  Two records are equal, and hash
+    alike, when they are of the same class and their fields are equal, leaving
+    out the fields named in ``_nocompare``.  Assigning or deleting an
+    attribute raises ``AttributeError``.  The methods are shared by every
+    record class, so defining one generates no code.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _nocompare: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(n for n in cls.__annotations__ if n not in cls._fields)
+        cls._compared = tuple(n for n in cls._fields if n not in cls._nocompare)
+        cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The value of every field, from the arguments and the class-level defaults."""
+        names = cls._fields
+        rest = names[len(args) :]
+        try:
+            values = [*args, *[kwargs[n] if n in kwargs else cls._defaults[n] for n in rest]]
+        except KeyError as exc:
+            raise TypeError(f"{cls.__name__}() missing argument {exc}") from None
+        if len(values) != len(names) or len(kwargs) != sum(n in kwargs for n in rest):
+            given = ", ".join([*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())])
+            raise TypeError(f"{cls.__name__}({', '.join(names)}) cannot take ({given})")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def as_rat(x) -> Rat:

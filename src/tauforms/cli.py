@@ -18,14 +18,15 @@ limit, a ``--tol`` that is not positive and finite, a ``--csv`` path that
 cannot be written (refused before any work), or a ``TAUFORMS_PREC_BITS``
 that is not an integer >= 16.  ``TAUFORMS_PREC_BITS`` overrides the default
 256-bit float precision.
+
+``json`` and ``csv`` are imported only in the branches that write them, so
+that a command printing text does not pay for loading them.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import os
 import sys
 
@@ -100,6 +101,8 @@ def cmd_expand(args) -> int:
     info = expr_mod.annotate(node)
     form = expr_mod.evaluate(node, args.prec)
     if args.json:
+        import json
+
         payload = json.loads(form.series.to_json())
         payload["weight"] = form.weight
         payload["quasimodular"] = form.quasimodular
@@ -137,6 +140,8 @@ def _open_csv(path: str | None):
 
 
 def _write_csv(fh, rows: list[dict]) -> None:
+    import csv
+
     fh.truncate(0)
     writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -154,6 +159,8 @@ def cmd_verify_tau(args) -> int:
         if fh:
             _write_csv(fh, rows)
     if args.json:
+        import json
+
         print(json.dumps(rows))
     else:
         for r in reports:
@@ -190,6 +197,8 @@ def cmd_lvalues(args) -> int:
         if fh:
             _write_csv(fh, rows)
     if args.json:
+        import json
+
         print(json.dumps(rows))
     else:
         for r in rows:
@@ -223,6 +232,8 @@ def cmd_petersson(args) -> int:
         if not report.max_pairwise_high < mp.mpf("1e-6"):
             ok = False
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {

@@ -17,9 +17,7 @@ are rejected with positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .arith import Rat, rat_str
+from .arith import Rat, Record, rat_str
 from .calculus import rankin_cohen, serre
 from .forms import Form, delta, e2, eisenstein, one
 from .poincare import eval_modular_seed
@@ -38,8 +36,7 @@ _FUNCTIONS = {"D", "RC", "Serre", "Ppoly", "Ek"}
 # -- tokens -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str  # NAME INT OP END
     text: str
     pos: int
@@ -79,37 +76,37 @@ def tokenize(text: str) -> list[Token]:
 # -- syntax tree ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: Rat
-    pos: int = field(compare=False, default=0)
+    pos: int = 0
+    _nocompare = ("pos",)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     name: str
-    pos: int = field(compare=False, default=0)
+    pos: int = 0
+    _nocompare = ("pos",)
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     name: str
     args: tuple
-    pos: int = field(compare=False, default=0)
+    pos: int = 0
+    _nocompare = ("pos",)
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str
     left: object
     right: object
-    pos: int = field(compare=False, default=0)
+    pos: int = 0
+    _nocompare = ("pos",)
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     operand: object
-    pos: int = field(compare=False, default=0)
+    pos: int = 0
+    _nocompare = ("pos",)
 
 
 class _Parser:
@@ -224,8 +221,7 @@ def to_text(node) -> str:
 # -- static weight annotation ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightInfo:
+class WeightInfo(Record):
     weight: int
     quasimodular: bool
 

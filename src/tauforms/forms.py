@@ -9,15 +9,13 @@ truncation level.
 
 from __future__ import annotations
 
-import json
 import threading
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from . import _kernels
-from .arith import ZERO, InconsistentSystem, Rat, as_rat, bernoulli, rat_str, solve_exact
+from .arith import ZERO, InconsistentSystem, Rat, Record, as_rat, bernoulli, rat_str, solve_exact
 from .qseries import QSeries, check_prec
 
 def sigma(a: int, n: int) -> int:
@@ -56,8 +54,7 @@ class NotModularError(ValueError):
     """Raised when a series fails to decompose in the modular basis."""
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(Record):
     """A q-series tagged with its weight.
 
     ``quasimodular`` marks the ring generated by E2: such objects may be
@@ -284,8 +281,7 @@ def _monomial(a: int, b: int, prec: int) -> QSeries:
     return _series(("E4^a E6^b", a, b), prec, lambda p: _monomial(*lower, p) * eisenstein(k, p).series)
 
 
-@dataclass(frozen=True)
-class BasisCoords:
+class BasisCoords(Record):
     """Exact coordinates of a weight-k form on the E4^a E6^b monomials."""
 
     weight: int
@@ -307,6 +303,8 @@ class BasisCoords:
         return Form(self.weight, total.series)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "weight": self.weight,

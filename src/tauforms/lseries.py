@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import add, lshift
 
 import numpy as np
 from mpmath import mp
 
-from .arith import DEFAULT_PREC_BITS, Rat, solve_exact
+from .arith import DEFAULT_PREC_BITS, Rat, Record, solve_exact
 from .calculus import rankin_cohen, serre, serre_seed
 from .forms import Form, _e2_power, _monomial, _table, _tables_lock, e12_delta_coords, e2, eisenstein, tau, tau_words
 from .poincare import TauIdentity, catalog_identity, eval_modular_seed
@@ -87,8 +86,7 @@ M0_PRINTED: dict[tuple[int, int], str] = {
 }
 
 
-@dataclass(frozen=True)
-class LQuery:
+class LQuery(Record):
     """One shifted L-series evaluation request."""
 
     m: int
@@ -116,8 +114,7 @@ def _check_prec_bits(prec_bits: int) -> None:
         raise ValueError("precision must be at least 16 bits")
 
 
-@dataclass(frozen=True)
-class LResult:
+class LResult(Record):
     partial_sum: object  # mpf
     tail_estimate: object  # mpf
     rigorous: bool
@@ -378,8 +375,7 @@ def hidden_moment(m: int, cutoff: int | None = None, prec_bits: int = DEFAULT_PR
 # Identity verification.
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     identity_id: str
     m: int
     a: int
@@ -485,8 +481,7 @@ def verify_sweep(
 # m = 0 values and the Petersson norm.
 
 
-@dataclass(frozen=True)
-class M0Value:
+class M0Value(Record):
     a: int
     s: int
     cutoff: int
@@ -540,16 +535,14 @@ def lvalues_m0(cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) ->
     return [lvalue_m0(a, s, T, prec_bits) for (a, s), T in cutoffs.items()]
 
 
-@dataclass(frozen=True)
-class PeterssonEstimate:
+class PeterssonEstimate(Record):
     a: int
     s: int
     estimate: object  # numeric / (constant * pi^11)
     rel_dev_from_ref: object
 
 
-@dataclass(frozen=True)
-class PeterssonReport:
+class PeterssonReport(Record):
     estimates: tuple[PeterssonEstimate, ...]
     max_pairwise_high: object  # among s >= 10 entries
     max_pairwise_low: object  # among s in {8, 9} entries vs all
@@ -577,8 +570,7 @@ def petersson_recover(prec_bits: int = DEFAULT_PREC_BITS) -> PeterssonReport:
 # The exact weight-12 identities and the derivation of the m = 0 constants.
 
 
-@dataclass(frozen=True)
-class ExactIdentity:
+class ExactIdentity(Record):
     label: str
     lhs: Form  # the exactly computed weight-12 form
     e12: Rat  # E12 coordinate

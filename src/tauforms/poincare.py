@@ -18,11 +18,9 @@ exact elimination between a handful of such relations.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from math import gcd
 
-from .arith import ZERO, Rat, as_rat, rat_str, solve_exact
+from .arith import ZERO, Rat, Record, as_rat, rat_str, solve_exact
 from .calculus import _rc_seed_series, _serre_seed_series, rc_seed, serre_seed
 from .forms import Form, dim_sk, eisenstein, sigma_sieve
 from .qseries import QSeries
@@ -32,8 +30,7 @@ from .qseries import QSeries
 # Admissibility: declared growth exponents.
 
 
-@dataclass(frozen=True, order=False)
-class Growth:
+class Growth(Record):
     """A declared coefficient bound a_n = O(n^rho), with rho = exponent + eps_sign * eps
     for every small eps > 0 (eps_sign in {-1, 0, +1})."""
 
@@ -90,8 +87,7 @@ def admissible(growth: Growth, k: int) -> tuple[bool, Growth]:
 # The formal object.
 
 
-@dataclass(frozen=True)
-class FormalPoincare:
+class FormalPoincare(Record):
     """Average of ``seed`` in even weight >= 4, kept as a0 E_k + sum a_n P_{k,n}."""
 
     weight: int
@@ -131,8 +127,7 @@ def eval_low_weight(p: FormalPoincare) -> Form:
 # Weight-12 reduction.
 
 
-@dataclass(frozen=True)
-class TauRelation:
+class TauRelation(Record):
     """The relation 0 = sum_{n>=0} c_n P_{weight, m+n} read off a vanishing average.
 
     For m >= 1 this says sum_n c_n tau(m+n)/(m+n)^{weight-1} = 0.  The c_n
@@ -160,6 +155,8 @@ class TauRelation:
         return Rat(self.num[n], self.den)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "m": self.m,
@@ -294,8 +291,7 @@ def relation_fourth_order(m: int, cutoff: int) -> TauRelation:
 # The identity catalog.
 
 
-@dataclass(frozen=True)
-class TauIdentity:
+class TauIdentity(Record):
     """tau(m) = prefactor(m) * sum_{n>=1} sigma_a(n) tau(m+n) / (m+n)^s."""
 
     ident: str

@@ -13,7 +13,6 @@ edge, in the constructor, ``coeffs`` and ``series[n]``.
 
 from __future__ import annotations
 
-import json
 from math import gcd, lcm
 
 from ._kernels import _MAX_PREC
@@ -172,10 +171,14 @@ class QSeries:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps({"prec": self.prec, "coeffs": [rat_str(c) for c in self.coeffs]})
 
     @classmethod
     def from_json(cls, text: str) -> "QSeries":
+        import json
+
         data = json.loads(text)
         coeffs = [as_rat(c) for c in data["coeffs"]]
         if data.get("prec") != len(coeffs):

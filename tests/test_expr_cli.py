@@ -166,30 +166,55 @@ def test_cli_output_does_not_depend_on_request_order(capsys, fresh_tables):
             assert capsys.readouterr().out == fresh.stdout, argv
 
 
+_PROBED = ("numpy.fft", "tau words", "json", "csv", "dataclasses")
+
 _EXACT_PATH_PROBE = """
 import contextlib, io, sys
+import tauforms, tauforms.cli
 from tauforms import cli, forms, poincare
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in {argvs!r}:
-        assert cli.main(argv) == 0, argv
+    codes = [cli.main(argv) for argv in {argvs!r}]
     {extra}
-print("numpy.fft" in sys.modules, "tau words" in forms._tables)
+loaded = [forms._tables if name == "tau words" else sys.modules for name in {probed!r}]
+print(*codes, "|", *(name in where for name, where in zip({probed!r}, loaded)))
 """
 
 
 def _probe_exact_path(argvs, extra="pass"):
-    """Run ``argvs`` through the CLI in a fresh process: (numpy.fft loaded, tau words built)."""
+    """Run ``argvs`` through the CLI in a fresh process: the exit codes, and which of
+    ``_PROBED`` are then loaded (the tau words in the store, the others in ``sys.modules``)."""
     src = str(Path(tauforms.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = _EXACT_PATH_PROBE.format(argvs=argvs, extra=extra)
+    code = _EXACT_PATH_PROBE.format(argvs=argvs, extra=extra, probed=_PROBED)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    codes, flags = out.stdout.split("|")
+    return [int(c) for c in codes.split()], dict(zip(_PROBED, (f == "True" for f in flags.split())))
 
 
 def test_exact_commands_never_load_the_fft_kernel():
     argvs = [["selftest", "--prec", "200"], ["basis", "RC(E4,E6,2)", "--prec", "150"], ["expand", "E4^3"]]
-    assert _probe_exact_path(argvs, extra='poincare.derive_identity("kumar", 5, cutoff=300)') == ["False", "False"]
-    assert _probe_exact_path([["expand", "Delta", "--prec", "20"]]) == ["True", "True"]
+    codes, loaded = _probe_exact_path(argvs, extra='poincare.derive_identity("kumar", 5, cutoff=300)')
+    assert codes == [0, 0, 0]
+    assert loaded == dict.fromkeys(_PROBED, False)
+    codes, loaded = _probe_exact_path([["expand", "Delta", "--prec", "20"]])
+    assert codes == [0]
+    assert loaded == {"numpy.fft": True, "tau words": True, "json": False, "csv": False, "dataclasses": False}
+
+
+def test_json_and_csv_load_only_for_json_and_csv_output(tmp_path):
+    # The import alone generates no record code and loads neither writer.
+    assert _probe_exact_path([]) == ([], dict.fromkeys(_PROBED, False))
+    verify = ["verify-tau", "--id", "kumar", "--m-from", "1", "--m-to", "1", "--cutoff", "300"]
+    # At this short cutoff the verdict is FAIL (exit 1); the text lines need neither writer.
+    codes, loaded = _probe_exact_path([verify])
+    assert codes == [1]
+    assert loaded == {"numpy.fft": True, "tau words": True, "json": False, "csv": False, "dataclasses": False}
+    codes, loaded = _probe_exact_path([verify + ["--json"], ["expand", "E4", "--prec", "5", "--json"]])
+    assert codes == [1, 0]
+    assert loaded["json"] and not loaded["csv"] and not loaded["dataclasses"]
+    codes, loaded = _probe_exact_path([verify + ["--csv", str(tmp_path / "out.csv")]])
+    assert codes == [1]
+    assert loaded["csv"] and not loaded["json"] and not loaded["dataclasses"]
 
 
 def test_cli_basis_rejects_e2(capsys):
