@@ -230,16 +230,10 @@ def tau_table(nmax: int) -> list[int]:
 
 
 def tau(n: int) -> int:
-    """tau(n) from the prepared word table; errors if the table is too short."""
+    """tau(n) from the shared word table, built (or grown) only when too short."""
     if n < 1:
         raise ValueError("tau(n) needs n >= 1")
-    words = _tables.get("tau words", np.zeros((2, 1), dtype=np.int64))
-    if n >= words.shape[1]:
-        raise ValueError(
-            f"tau table too short: have {words.shape[1] - 1} entries, "
-            f"need at least {n}; call tau_table({n}) first"
-        )
-    lo, hi = words[:, n].tolist()
+    lo, hi = tau_words(n)[:, n].tolist()
     return lo + (hi << _kernels._WORD)
 
 

@@ -45,10 +45,9 @@ import numpy as np
 from mpmath import mp
 
 from .arith import DEFAULT_PREC_BITS, Rat, Record, solve_exact
-from .calculus import rankin_cohen, serre, serre_seed
-from .forms import Form, _e2_power, _monomial, _table, _tables_lock, e12_delta_coords, e2, eisenstein, tau, tau_words
-from .poincare import TauIdentity, catalog_identity, eval_modular_seed
-from .qseries import QSeries
+from .calculus import rankin_cohen, serre
+from .forms import Form, _monomial, _table, _tables_lock, e12_delta_coords, eisenstein, tau, tau_words
+from .poincare import CONSTRUCTIONS, TauIdentity, catalog_identity, construction_seed
 from . import _kernels, forms
 
 # Cutoffs and relative tolerances by exponent s.  These are fixed policy:
@@ -433,7 +432,7 @@ def verify_identity(
         raise ValueError("identity index m must be >= 1")
     tol, cutoff = _tier_args(entry, tol, cutoff)
     res = shifted_L(LQuery(m, entry.a, entry.s, cutoff, prec_bits))
-    tau_m = tau(m)  # shifted_L sized the tau words past m
+    tau_m = tau(m)
     pref = entry.prefactor(m)
     with mp.workprec(prec_bits):
         rhs = mp.mpf(int(pref.numerator)) / mp.mpf(int(pref.denominator)) * res.partial_sum
@@ -575,46 +574,34 @@ class ExactIdentity(Record):
     lhs: Form  # the exactly computed weight-12 form
     e12: Rat  # E12 coordinate
     delta_coeff: Rat  # Delta coordinate
-    seed: QSeries  # the q-series whose weight-12 average equals lhs
 
 
 def exact_lhs_catalog(prec: int = 200) -> list[ExactIdentity]:
     """Compute and decompose the six exact weight-12 identities.
 
-    The decomposition is certified coefficientwise by ``in_basis``; a
-    nonzero residual raises.  Each entry also carries the seed whose
-    average reproduces the left-hand side, which is what links these exact
-    decompositions to the m = 0 L-values.
+    Each row of ``poincare.CONSTRUCTIONS`` is evaluated at m = 0, where
+    P_{l,0} = E_l: ("serre", r) is ``serre(E_l, r)`` and ("rc", k, n) is
+    ``rankin_cohen(E_k, E_l, n)``.  Each bracket is made once per unordered
+    pair, with [g, f]_n = (-1)^n [f, g]_n, and an order-0 bracket of E4 and
+    E6 is read from the store as E4^a E6^b.  The decomposition is certified coefficientwise by ``in_basis``;
+    a nonzero residual raises.
     """
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    e8 = eisenstein(8, prec)
-    e10 = eisenstein(10, prec)
-    e4e8 = eval_modular_seed(e4, 12)
-    rc46 = rankin_cohen(e4, e6, 1)  # [E6, E4]_1 = -[E4, E6]_1
+    brackets = {}
+
+    def bracket(k: int, l: int, n: int) -> Form:
+        if n == 0 and {k, l} <= {4, 6}:
+            return Form(k + l, _monomial((k == 4) + (l == 4), (k == 6) + (l == 6), prec))
+        lo, hi = sorted((k, l))
+        if (lo, hi, n) not in brackets:
+            brackets[lo, hi, n] = rankin_cohen(eisenstein(lo, prec), eisenstein(hi, prec), n)
+        form = brackets[lo, hi, n]
+        return form.scale(-1) if k > l and n % 2 else form
+
     entries = []
-
-    def push(label: str, lhs: Form, seed: QSeries):
-        c_e12, c_delta = e12_delta_coords(lhs)
-        entries.append(ExactIdentity(label, lhs, c_e12, c_delta, seed))
-
-    push("serre_derivative(E10)", serre(e10, 1), serre_seed(10, 0, 1, prec))
-    push("E8 * E4", e4e8, e4.series)
-    push("rankin_cohen(E4, E6, 1)", rc46, e4.series.derive(1).scale(-6))
-    push("serre_derivative(E8, order 2)", serre(e8, 2), _e2_power(2, prec).scale(Rat(1, 2)))
-    push(
-        "serre_derivative(E6, order 3) + 7/36 E6^2",
-        serre(e6, 3) + Form(12, _monomial(0, 2, prec)).scale(Rat(7, 36)),
-        (e6.series - _e2_power(3, prec)).scale(Rat(7, 36)),
-    )
-    push(
-        "serre_derivative(E4, order 4) - 35/864 E4 E8 - 7/40 [E4,E4]_2 + 35/432 [E6,E4]_1",
-        serre(e4, 4)
-        + e4e8.scale(Rat(-35, 864))
-        + rankin_cohen(e4, e4, 2).scale(Rat(-7, 40))
-        + rc46.scale(Rat(-35, 432)),
-        e2(prec).series.derive(3).scale(Rat(35, 3)),
-    )
+    for c in CONSTRUCTIONS:
+        e_l = eisenstein(c.weight, prec)
+        lhs = c.combine(lambda op: serre(e_l, op[1]) if op[0] == "serre" else bracket(op[1], c.weight, op[2]))
+        entries.append(ExactIdentity(c.label, lhs, *e12_delta_coords(lhs)))
     return entries
 
 
@@ -633,10 +620,11 @@ _MONOMIALS = (
 def derive_m0_constants(prec: int = 201) -> dict[tuple[int, int], Rat]:
     """Derive the six m = 0 closed-form constants exactly.
 
-    For each catalog entry, the seed stream decomposes over the monomials
-    n^i sigma_a(n); pairing the cusp part against the weight-12 average
-    turns the decompositions into six exact linear equations for the six
-    L-values, measured in units of R = (4 pi)^11 <Delta, Delta> / 10!.
+    Each construction's m = 0 seed, whose weight-12 average is the catalog's
+    left-hand side, decomposes over the monomials n^i sigma_a(n); pairing the
+    cusp part against that average turns the decompositions into six exact
+    linear equations for the six L-values, measured in units of
+    R = (4 pi)^11 <Delta, Delta> / 10!.
     The solution, rescaled by 4^11/10!, must reproduce ``M0_CONSTANTS``.
     """
     from .forms import sigma_sieve
@@ -647,8 +635,9 @@ def derive_m0_constants(prec: int = 201) -> dict[tuple[int, int], Rat]:
         sig = sigma_sieve(a, nmax)
         monomial_cols.append([Rat(n**i * sig[n]) for n in range(1, nmax + 1)])
     equations = []  # rows of (coefficients over the six unknowns, rhs in units of R)
-    for entry in exact_lhs_catalog(prec):
-        stream = [entry.seed[n] for n in range(1, nmax + 1)]
+    for c, entry in zip(CONSTRUCTIONS, exact_lhs_catalog(prec)):
+        seed = construction_seed(c, 0, prec)
+        stream = [seed[n] for n in range(1, nmax + 1)]
         combo = solve_exact(monomial_cols, stream)
         equations.append((combo, entry.delta_coeff))
     unknown_cols = [[eq[0][j] for eq in equations] for j in range(len(_MONOMIALS))]

@@ -12,8 +12,13 @@ average of q^n:
   <Delta, Delta>) of Delta, so a vanishing average encodes one linear
   relation on the numbers tau(m+n)/(m+n)^11.
 
-The six closed-form tau identities of the catalog all arise this way, by
-exact elimination between a handful of such relations.
+Each of the six weight-12 constructions is one row of ``CONSTRUCTIONS``: a
+combination of Serre derivatives theta^[r] P_{l,m} and brackets
+[E_k, P_{l,m}]_n.  Since E_l = P_{l,0}, the row at m = 0 is an exact
+Eisenstein identity (``lseries.exact_lhs_catalog`` evaluates it and
+``selftest`` prints it), and at m >= 1 it is a vanishing tau relation
+(:func:`relation`).  The six closed-form tau identities of the catalog all
+arise by exact elimination between these relations.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from math import gcd
 
 from .arith import ZERO, Rat, Record, as_rat, rat_str, solve_exact
-from .calculus import _rc_seed_series, _serre_seed_series, rc_seed, serre_seed
+from .calculus import _rc_seed_series, _serre_seed_series
 from .forms import Form, dim_sk, eisenstein, sigma_sieve
 from .qseries import QSeries
 
@@ -166,7 +171,7 @@ class TauRelation(Record):
         )
 
 
-def reduce_weight12(p: FormalPoincare, m_shift: int | None = None, weight: int = 12):
+def reduce_weight12(p: FormalPoincare, m_shift: int | None = None):
     """Reduce a weight-12 average to its cuspidal content.
 
     With ``m_shift`` given, the average is of a seed supported on q^m and
@@ -178,10 +183,8 @@ def reduce_weight12(p: FormalPoincare, m_shift: int | None = None, weight: int =
     return value is the pair (a0, stream of c_n for n >= 1), describing
     a0 E_12 plus the cusp part sum c_n P_{12,n}.
     """
-    if p.weight != weight:
-        raise ValueError(f"reduction weight {weight} does not match the average's weight {p.weight}")
-    if dim_sk(weight) != 1:
-        raise ValueError(f"reduction needs a one-dimensional cusp space, dim S_{weight} != 1")
+    if p.weight != 12:
+        raise ValueError(f"reduction weight 12 does not match the average's weight {p.weight}")
     if m_shift is None:
         return p.seed[0], tuple(p.seed.coeffs[1:])
     if m_shift < 1:
@@ -193,98 +196,89 @@ def reduce_weight12(p: FormalPoincare, m_shift: int | None = None, weight: int =
             raise ValueError(f"seed has a nonzero coefficient below the base index (q^{j})")
     num = p.seed.num[m_shift:]
     g = gcd(p.seed.den, *num)
-    return TauRelation(m_shift, tuple(x // g for x in num), p.seed.den // g, weight=weight, origin=p.origin)
+    return TauRelation(m_shift, tuple(x // g for x in num), p.seed.den // g, origin=p.origin)
 
 
 # ---------------------------------------------------------------------------
-# The six vanishing constructions in weight 12.
+# The six weight-12 constructions.
 
 
-def _seed_prec(m: int, cutoff: int) -> int:
-    return m + cutoff + 1
+class Construction(Record):
+    """A weight-12 combination sum_t c_t op_t(P_{l,m}) of operators on the
+    Poincare series of weight l = ``weight`` and index m.
 
-
-def relation_serre_p10(m: int, cutoff: int) -> TauRelation:
-    """theta P_{10,m} = 0, averaged seed q^m (m - 5/6 E2)."""
-    seed = serre_seed(10, m, 1, prec=_seed_prec(m, cutoff) - m)
-    p = FormalPoincare(12, seed, origin=f"serre_derivative(P_(10,{m}))")
-    return reduce_weight12(p, m_shift=m)
-
-
-def relation_e4_shift(m: int, cutoff: int) -> TauRelation:
-    """P_{8,m} E4 = 0, averaged seed q^m E4."""
-    seed = rc_seed(eisenstein(4, _seed_prec(m, cutoff) - m), 8, m, 0)
-    p = FormalPoincare(12, seed, origin=f"E4 * P_(8,{m})")
-    return reduce_weight12(p, m_shift=m)
-
-
-def relation_bracket_e4_p6(m: int, cutoff: int) -> TauRelation:
-    """[E4, P_{6,m}]_1 = 0, averaged seed q^m (4m E4 - 6 D E4)."""
-    seed = rc_seed(eisenstein(4, _seed_prec(m, cutoff) - m), 6, m, 1)
-    p = FormalPoincare(12, seed, origin=f"rankin_cohen(E4, P_(6,{m}), 1)")
-    return reduce_weight12(p, m_shift=m)
-
-
-def relation_serre2_p8(m: int, cutoff: int) -> TauRelation:
-    """theta^[2] P_{8,m} = 0, averaged seed q^m (m^2 - 3/2 m E2 + 1/2 E2^2)."""
-    seed = serre_seed(8, m, 2, prec=_seed_prec(m, cutoff) - m)
-    p = FormalPoincare(12, seed, origin=f"serre_derivative(P_(8,{m}), order 2)")
-    return reduce_weight12(p, m_shift=m)
-
-
-def ex12_seed(m: int, prec: int) -> QSeries:
-    """Seed (before the q^m shift) of theta^[3] P_{6,m} + 7/36 P_{6,m} E6.
-
-    Neither summand alone satisfies the growth bound (their seeds contain
-    E2^3 and E6), but in the sum those pieces combine to E2^3 - E6 =
-    9 D E4 + 72 D^2 E2, which does.  The raw order-3 seed on weight 6 is
-    therefore built without its single-seed growth check.
+    Each term is (c_t, ("serre", r)) for theta^[r] P_{l,m} or (c_t, ("rc", k, n))
+    for [E_k, P_{l,m}]_n.  At m = 0, where P_{l,0} = E_l, the combination is
+    the exact form ``label`` = ``e12`` E12 + ``delta`` Delta; at m >= 1 its
+    average vanishes and its seed is a tau relation.
     """
-    return _serre_seed_series(6, m, 3, prec) + eisenstein(6, prec).series.scale(Rat(7, 36))
+
+    name: str
+    label: str
+    weight: int
+    terms: tuple
+    e12: Rat
+    delta: Rat
+
+    def combine(self, term_value):
+        """sum_t c_t term_value(op_t), scaling only the terms with c_t != 1."""
+        total = None
+        for c, op in self.terms:
+            value = term_value(op)
+            if c != 1:
+                value = value.scale(c)
+            total = value if total is None else total + value
+        return total
 
 
-def relation_serre3_p6(m: int, cutoff: int) -> TauRelation:
-    """theta^[3] P_{6,m} + 7/36 P_{6,m} E6 = 0."""
-    seed = ex12_seed(m, _seed_prec(m, cutoff) - m).shift(m)
-    p = FormalPoincare(12, seed, origin=f"serre_derivative(P_(6,{m}), order 3) + 7/36 E6 * P_(6,{m})")
-    return reduce_weight12(p, m_shift=m)
+# serre3_p6 and fourth_order have terms that alone break the growth bound; their
+# sums do not.  The serre3_p6 seed is m^3 - 2m^2 E2 + 7/6 m E2^2 - 7/36 (E2^3 - E6)
+# with E2^3 - E6 = 9 D E4 + 72 D^2 E2, and the fourth_order seed is
+# m^4 - 7/3 m^3 E2 + 21 m^2 D E2 - 35 m D^2 E2 + 35/3 D^3 E2: both are
+# admissible in weight 12.
+CONSTRUCTIONS = (
+    Construction("serre_p10", "serre_derivative(E10)", 10, ((1, ("serre", 1)),), Rat(-5, 6), Rat(38016, 691)),
+    Construction("e4_shift", "E8 * E4", 8, ((1, ("rc", 4, 0)),), Rat(1), Rat(432000, 691)),
+    Construction("bracket_e4_p6", "rankin_cohen(E4, E6, 1)", 6, ((1, ("rc", 4, 1)),), Rat(0), Rat(-3456)),
+    Construction("serre2_p8", "serre_derivative(E8, order 2)", 8, ((1, ("serre", 2)),), Rat(1, 2), Rat(-49344, 691)),
+    Construction(
+        "serre3_p6", "serre_derivative(E6, order 3) + 7/36 E6^2", 6,
+        ((1, ("serre", 3)), (Rat(7, 36), ("rc", 6, 0))), Rat(0), Rat(-168),
+    ),
+    Construction(
+        "fourth_order", "serre_derivative(E4, order 4) - 35/864 E4 E8 - 7/40 [E4,E4]_2 + 35/432 [E6,E4]_1", 4,
+        ((1, ("serre", 4)), (Rat(-35, 864), ("rc", 8, 0)), (Rat(-7, 40), ("rc", 4, 2)), (Rat(35, 432), ("rc", 6, 1))),
+        Rat(0), Rat(-600),
+    ),
+)
 
 
-def fourth_order_seed(m: int, prec: int) -> QSeries:
-    """Seed (before the q^m shift) of the vanishing combination
+def construction(name: str) -> Construction:
+    for c in CONSTRUCTIONS:
+        if c.name == name:
+            return c
+    raise ValueError(f"unknown construction {name!r}; known: {[c.name for c in CONSTRUCTIONS]}")
 
-        theta^[4] P_{4,m} - 35/864 P_{4,m} E8 - 7/40 [E4, P_{4,m}]_2
-                                              + 35/432 [E6, P_{4,m}]_1.
 
-    The individual seeds violate the growth bound; the combination equals
-    m^4 - 7/3 m^3 E2 + 21 m^2 D E2 - 35 m D^2 E2 + 35/3 D^3 E2, whose
-    coefficients are O(n^4) and hence admissible in weight 12.
+def construction_seed(c: Construction, m: int, prec: int) -> QSeries:
+    """The seed of ``c`` at index m before the q^m shift, to prec coefficients.
+
+    Each term is its operator applied to q^m (:func:`calculus._serre_seed_series`,
+    :func:`calculus._rc_seed_series`), without the single-seed growth checks.
     """
-    s4 = _serre_seed_series(4, m, 4, prec)
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    e8 = eisenstein(8, prec)
 
-    combo = (
-        s4
-        + e8.series.scale(Rat(-35, 864))
-        + _rc_seed_series(e4, 4, m, 2).scale(Rat(-7, 40))
-        + _rc_seed_series(e6, 4, m, 1).scale(Rat(35, 432))
-    )
-    return combo
+    def term_seed(op):
+        if op[0] == "serre":
+            return _serre_seed_series(c.weight, m, op[1], prec)
+        return _rc_seed_series(eisenstein(op[1], prec), c.weight, m, op[2])
+
+    return c.combine(term_seed)
 
 
-def relation_fourth_order(m: int, cutoff: int) -> TauRelation:
-    seed = fourth_order_seed(m, _seed_prec(m, cutoff) - m).shift(m)
-    p = FormalPoincare(
-        12,
-        seed,
-        origin=(
-            f"serre_derivative(P_(4,{m}), order 4) - 35/864 E8 * P_(4,{m}) "
-            f"- 7/40 rankin_cohen(E4, P_(4,{m}), 2) + 35/432 rankin_cohen(E6, P_(4,{m}), 1)"
-        ),
-    )
-    return reduce_weight12(p, m_shift=m)
+def relation(c: Construction, m: int, cutoff: int) -> TauRelation:
+    """The vanishing average of ``c`` at index m >= 1 as 0 = sum_{n<=cutoff} c_n P_{12,m+n}."""
+    seed = construction_seed(c, m, cutoff + 1).shift(m)
+    return reduce_weight12(FormalPoincare(12, seed, origin=f"{c.name}, m={m}"), m_shift=m)
 
 
 # ---------------------------------------------------------------------------
@@ -352,27 +346,14 @@ def identity_relation(entry: TauIdentity, m: int, cutoff: int) -> TauRelation:
     return TauRelation(m, tuple(x // g for x in num), q // g, origin=entry.description)
 
 
-# Which vanishing relations each identity is eliminated from.
+# Which constructions each identity is eliminated from.
 _DERIVATIONS = {
-    "kumar": (relation_serre_p10,),
-    "herrero": (relation_e4_shift,),
-    "s10sig3": (relation_e4_shift, relation_bracket_e4_p6),
-    "s10sig1": (relation_serre_p10, relation_e4_shift, relation_serre2_p8),
-    "s9sig1": (
-        relation_serre_p10,
-        relation_e4_shift,
-        relation_bracket_e4_p6,
-        relation_serre2_p8,
-        relation_serre3_p6,
-    ),
-    "s8sig1": (
-        relation_serre_p10,
-        relation_e4_shift,
-        relation_bracket_e4_p6,
-        relation_serre2_p8,
-        relation_serre3_p6,
-        relation_fourth_order,
-    ),
+    "kumar": ("serre_p10",),
+    "herrero": ("e4_shift",),
+    "s10sig3": ("e4_shift", "bracket_e4_p6"),
+    "s10sig1": ("serre_p10", "e4_shift", "serre2_p8"),
+    "s9sig1": ("serre_p10", "e4_shift", "bracket_e4_p6", "serre2_p8", "serre3_p6"),
+    "s8sig1": ("serre_p10", "e4_shift", "bracket_e4_p6", "serre2_p8", "serre3_p6", "fourth_order"),
 }
 
 
@@ -385,4 +366,5 @@ def derive_identity(ident: str, m: int, cutoff: int = 200) -> list[Rat]:
     does not lie in the span (which would falsify the catalog).
     """
     entry = catalog_identity(ident)
-    return solve_exact([b(m, cutoff) for b in _DERIVATIONS[ident]], identity_relation(entry, m, cutoff))
+    relations = [relation(construction(name), m, cutoff) for name in _DERIVATIONS[ident]]
+    return solve_exact(relations, identity_relation(entry, m, cutoff))

@@ -22,7 +22,7 @@ from tauforms.arith import Rat
 from tauforms.calculus import rankin_cohen, serre, serre_recursive
 from tauforms.forms import delta, e2, eisenstein, in_basis, tau_table
 from tauforms.lseries import LQuery, shifted_L
-from tauforms.poincare import ex12_seed, identity_catalog
+from tauforms.poincare import construction, construction_seed, identity_catalog
 from tauforms.qseries import QSeries
 
 PREC = 200
@@ -162,7 +162,7 @@ def test_criterion_07_seed_constructors():
     checks.append(("q^m (m^2 - 3/2 m E2 + 1/2 E2^2)", seed == want))
 
     e6s = eisenstein(6, prec).series
-    seed = ex12_seed(m, prec).shift(m)
+    seed = construction_seed(construction("serre3_p6"), m, prec).shift(m)
     want = (
         QSeries.constant(m**3, prec)
         - (e2s).scale(2 * m * m)

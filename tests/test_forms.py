@@ -102,11 +102,10 @@ def test_tau_table_and_multiplicativity():
     assert tau(4) == tau(2) ** 2 - 2**11
 
 
-def test_tau_too_short_errors(fresh_tables):
-    with pytest.raises(ValueError, match="tau table too short"):
-        forms_mod.tau(5)
-    forms_mod.tau_table(5)
+def test_tau_on_an_empty_store_builds_the_words_once(fresh_tables):
     assert forms_mod.tau(5) == 4830
+    assert [forms_mod.tau(n) for n in range(1, 6)] == [1, -24, 252, -1472, 4830]
+    assert fresh_tables == [("tau", 5)]
 
 
 def test_a_negative_table_size_is_refused(fresh_tables):

@@ -5,26 +5,23 @@ import pytest
 from tauforms.arith import Rat
 from tauforms.calculus import rc_seed, serre_seed
 from tauforms.forms import delta, e2, eisenstein, one, sigma
+from tauforms.forms import _e2_power
 from tauforms.poincare import (
+    CONSTRUCTIONS,
     FormalPoincare,
     Growth,
     TauRelation,
     admissible,
     catalog_identity,
+    construction,
+    construction_seed,
     derive_identity,
     eval_low_weight,
     eval_modular_seed,
-    ex12_seed,
-    fourth_order_seed,
     identity_catalog,
     identity_relation,
     reduce_weight12,
-    relation_bracket_e4_p6,
-    relation_e4_shift,
-    relation_fourth_order,
-    relation_serre2_p8,
-    relation_serre3_p6,
-    relation_serre_p10,
+    relation,
 )
 from tauforms.qseries import QSeries
 
@@ -98,7 +95,7 @@ def test_reduce_relation_mode_checks():
     assert rel.coeffs == (Rat(1), Rat(2), Rat(3))
     with pytest.raises(ValueError, match="nonzero coefficient below"):
         reduce_weight12(FormalPoincare(12, QSeries.one(4)), m_shift=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reduction weight 12 does not match"):
         reduce_weight12(FormalPoincare(14, QSeries.one(4)), m_shift=1)
 
 
@@ -111,7 +108,7 @@ def test_reduce_exact_mode():
 
 
 def test_relation_stream_cutoff_error():
-    rel = relation_serre_p10(2, 10)
+    rel = relation(construction("serre_p10"), 2, 10)
     assert rel.cutoff == 10
     assert rel.coeff(10) == 20 * sigma(1, 10)
     with pytest.raises(ValueError, match="prepared to"):
@@ -121,7 +118,7 @@ def test_relation_stream_cutoff_error():
 def test_relation_serre_p10_stream():
     # (m - 5/6) P_{12,m} + 20 sum sigma_1(n) P_{12,m+n} = 0
     for m in (1, 2, 5):
-        rel = relation_serre_p10(m, 30)
+        rel = relation(construction("serre_p10"), m, 30)
         assert rel.m == m
         assert rel.coeff(0) == m - Rat(5, 6)
         for n in range(1, 31):
@@ -130,7 +127,7 @@ def test_relation_serre_p10_stream():
 
 def test_relation_e4_shift_stream():
     # P_{12,m} + 240 sum sigma_3(n) P_{12,m+n} = 0
-    rel = relation_e4_shift(4, 25)
+    rel = relation(construction("e4_shift"), 4, 25)
     assert rel.coeff(0) == 1
     for n in range(1, 26):
         assert rel.coeff(n) == 240 * sigma(3, n)
@@ -139,7 +136,7 @@ def test_relation_e4_shift_stream():
 def test_relation_bracket_e4_p6_stream():
     # c0 = 4m, c_n = (960m - 1440n) sigma_3(n)
     for m in (1, 4):
-        rel = relation_bracket_e4_p6(m, 25)
+        rel = relation(construction("bracket_e4_p6"), m, 25)
         assert rel.coeff(0) == 4 * m
         for n in range(1, 26):
             assert rel.coeff(n) == (960 * m - 1440 * n) * sigma(3, n)
@@ -148,7 +145,7 @@ def test_relation_bracket_e4_p6_stream():
 def test_relation_serre2_p8_stream():
     # c0 = m^2 - 3/2 m + 1/2, c_n = 36 m sigma_1 + 120 sigma_3 - 144 n sigma_1
     for m in (1, 3):
-        rel = relation_serre2_p8(m, 25)
+        rel = relation(construction("serre2_p8"), m, 25)
         assert rel.coeff(0) == Rat(2 * m * m - 3 * m + 1, 2)
         for n in range(1, 26):
             assert rel.coeff(n) == 36 * m * sigma(1, n) + 120 * sigma(3, n) - 144 * n * sigma(1, n)
@@ -158,7 +155,7 @@ def test_relation_serre3_p6_stream():
     # c0 = m^3 - 2m^2 + 7/6 m,
     # c_n = (48m^2 - 336mn + 336n^2) sigma_1(n) + (280m - 420n) sigma_3(n)
     for m in (1, 2):
-        rel = relation_serre3_p6(m, 25)
+        rel = relation(construction("serre3_p6"), m, 25)
         assert rel.coeff(0) == Rat(m) ** 3 - 2 * Rat(m) ** 2 + Rat(7, 6) * m
         for n in range(1, 26):
             expected = (48 * m * m - 336 * m * n + 336 * n * n) * sigma(1, n) + (
@@ -180,7 +177,7 @@ def test_ex12_seed_structure():
         + (E2s * E2s).scale(Rat(7, 6) * m)
         + (E2s * E2s * E2s).scale(Rat(-7, 36))
     )
-    assert ex12_seed(m, prec) == want
+    assert construction_seed(construction("serre3_p6"), m, prec) == want
 
 
 def fourth_order_seed_closed_form(m: int, prec: int) -> QSeries:
@@ -196,15 +193,15 @@ def fourth_order_seed_closed_form(m: int, prec: int) -> QSeries:
 
 def test_fourth_order_seed_matches_closed_form():
     for m in (0, 1, 3):
-        assert fourth_order_seed(m, 40) == fourth_order_seed_closed_form(m, 40)
+        assert construction_seed(construction("fourth_order"), m, 40) == fourth_order_seed_closed_form(m, 40)
 
 
 def test_fourth_order_seed_at_zero_is_d3e2_multiple():
-    assert fourth_order_seed(0, 40) == e2(40).series.derive(3).scale(Rat(35, 3))
+    assert construction_seed(construction("fourth_order"), 0, 40) == e2(40).series.derive(3).scale(Rat(35, 3))
 
 
 def test_relation_fourth_order_has_cubic_sigma1_content():
-    rel = relation_fourth_order(1, 20)
+    rel = relation(construction("fourth_order"), 1, 20)
     # c_n at m=1: expand q (1 - 7/3 E2 + 21 DE2 - 35 D^2E2 + 35/3 D^3E2)
     for n in range(1, 21):
         expected = (
@@ -214,6 +211,51 @@ def test_relation_fourth_order_has_cubic_sigma1_content():
             + Rat(35, 3) * (-24 * n**3 * sigma(1, n))
         )
         assert rel.coeff(n) == expected
+
+
+def m0_reference_seeds(prec: int) -> dict[str, QSeries]:
+    """Each construction's m = 0 seed written out by hand: its weight-12 average
+    is the construction's exact Eisenstein identity."""
+    e4 = eisenstein(4, prec)
+    return {
+        "serre_p10": serre_seed(10, 0, 1, prec),
+        "e4_shift": e4.series,
+        "bracket_e4_p6": e4.series.derive(1).scale(-6),
+        "serre2_p8": _e2_power(2, prec).scale(Rat(1, 2)),
+        "serre3_p6": (eisenstein(6, prec).series - _e2_power(3, prec)).scale(Rat(7, 36)),
+        "fourth_order": e2(prec).series.derive(3).scale(Rat(35, 3)),
+    }
+
+
+def test_m0_seeds_match_the_hand_written_ones():
+    want = m0_reference_seeds(60)
+    assert [c.name for c in CONSTRUCTIONS] == list(want)
+    for c in CONSTRUCTIONS:
+        assert construction_seed(c, 0, 60) == want[c.name], c.name
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_single_term_relations_match_the_growth_checked_seeds(m):
+    cutoff = 30
+    single = [c for c in CONSTRUCTIONS if len(c.terms) == 1]
+    assert len(single) == 4
+    for c in single:
+        ((_, op),) = c.terms
+        if op[0] == "serre":
+            seed = serre_seed(c.weight, m, op[1], prec=cutoff + 1)
+        else:
+            seed = rc_seed(eisenstein(op[1], cutoff + 1), c.weight, m, op[2])
+        rel = relation(c, m, cutoff)
+        assert rel == reduce_weight12(FormalPoincare(12, seed, origin=rel.origin), m_shift=m), c.name
+
+
+def test_every_construction_term_has_weight_12():
+    for c in CONSTRUCTIONS:
+        for _, op in c.terms:
+            assert (c.weight + 2 * op[1] if op[0] == "serre" else op[1] + c.weight + 2 * op[2]) == 12, c.name
+    assert len({c.name for c in CONSTRUCTIONS}) == len({c.label for c in CONSTRUCTIONS}) == 6
+    with pytest.raises(ValueError, match="unknown construction"):
+        construction("nope")
 
 
 # -- the catalog ---------------------------------------------------------------
@@ -288,7 +330,7 @@ def test_product_average_identity_weight_10():
 
 
 def test_tau_relation_json():
-    rel = relation_e4_shift(2, 5)
+    rel = relation(construction("e4_shift"), 2, 5)
     data = json.loads(rel.to_json())
     assert data["m"] == 2
     assert data["cutoff"] == 5
