@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .arith import Rat, binomial, pochhammer
 from .forms import Form, _e2_power, _monomial, e2, eisenstein
-from .qseries import QSeries
+from .qseries import QSeries, linear_combination
 
 
 class QuasimodularInput(ValueError):
@@ -59,15 +59,12 @@ def rankin_cohen(f: Form, g: Form, n: int) -> Form:
     if n < 0:
         raise ValueError("bracket order must be >= 0")
     k, l = f.weight, g.weight
-    terms = list(enumerate(_rc_coeffs(k, l, n)))
+    terms = [(c, j) for j, c in enumerate(_rc_coeffs(k, l, n))]
     if f.series == g.series:
         # Terms j and n - j make the same product D^j f D^(n-j) f: make it once,
         # with both coefficients (they cancel for odd n when k = l).
-        terms = [(j, c + terms[n - j][1] if 2 * j < n else c) for j, c in terms[: n // 2 + 1]]
-    total = QSeries.zero(min(f.prec, g.prec))
-    for j, c in terms:
-        if c:
-            total = total + (f.series.derive(j) * g.series.derive(n - j)).scale(c)
+        terms = [(c + terms[n - j][0] if 2 * j < n else c, j) for c, j in terms[: n // 2 + 1]]
+    total = linear_combination(terms, lambda j: f.series.derive(j) * g.series.derive(n - j), min(f.prec, g.prec))
     return Form(k + l + 2 * n, total, is_cusp=n >= 1 or f.is_cusp or g.is_cusp)
 
 
@@ -78,12 +75,12 @@ def serre(f: Form, m: int) -> Form:
         raise ValueError("Serre derivative order must be >= 0")
     if m == 0:
         return f
-    k = f.weight
-    prec = f.prec
-    total = None
-    for r, c in enumerate(_serre_coeffs(k, m)):
-        term = (_e2_power(m - r, prec) * f.series.derive(r) if r < m else f.series.derive(r)).scale(c)
-        total = term if total is None else total + term
+    k, prec = f.weight, f.prec
+
+    def term(r: int) -> QSeries:
+        return _e2_power(m - r, prec) * f.series.derive(r) if r < m else f.series.derive(r)
+
+    total = linear_combination([(c, r) for r, c in enumerate(_serre_coeffs(k, m))], term, prec)
     return Form(k + 2 * m, total, is_cusp=f.is_cusp)
 
 
@@ -120,12 +117,8 @@ def serre_recursive(f: Form, m: int) -> Form:
 
 def _rc_seed_series(f: Form, l: int, n_index: int, m: int) -> QSeries:
     """[f, q^N]_m / q^N = sum_r c_r N^{m-r} D^r f, with c_r from :func:`_rc_coeffs`."""
-    total = QSeries.zero(f.prec)
-    for r, c in enumerate(_rc_coeffs(f.weight, l, m)):
-        c = Rat(c) * Rat(n_index) ** (m - r)
-        if c != 0:
-            total = total + f.series.derive(r).scale(c)
-    return total
+    terms = [(c * n_index ** (m - r), r) for r, c in enumerate(_rc_coeffs(f.weight, l, m))]
+    return linear_combination(terms, f.series.derive, f.prec)
 
 
 def rc_seed(f: Form, l: int, n_index: int, m: int) -> QSeries:
@@ -152,12 +145,8 @@ def _serre_seed_series(l: int, n_index: int, m: int, prec: int) -> QSeries:
 
     Builds the raw seed without the growth check of :func:`serre_seed`.
     """
-    total = QSeries.zero(prec)
-    for r, c in enumerate(_serre_coeffs(l, m)):
-        c = c * Rat(n_index) ** r
-        if c != 0:
-            total = total + _e2_power(m - r, prec).scale(c)
-    return total
+    terms = [(c * n_index**r, m - r) for r, c in enumerate(_serre_coeffs(l, m))]
+    return linear_combination(terms, lambda j: _e2_power(j, prec), prec)
 
 
 def serre_seed(l: int, n_index: int, m: int, prec: int = 64) -> QSeries:

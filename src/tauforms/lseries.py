@@ -5,14 +5,21 @@ bits, the weights W[u] = floor(tau(u) 2^G / u^s) are built once per exponent
 from the exact tau table, and sum_n sigma_a(n) W[m+n] is an exact integer:
 it does not depend on the order of summation or on how the tables grew, so
 every result is bit-for-bit reproducible.  It is converted to a big float
-at ``prec_bits`` only at the end.  Each result carries ``err_round``, a
-rigorous bound on its rounding error: 2^-G sum_n sigma_a(n) for the floored
-weights (times n for the n-weighted series) plus half an ulp of the final
-conversion.  Certified tail bounds (Deligne bound, explicit divisor bound,
-integral comparison, safety factor 2) are available for s >= 10; for
-s in {8, 9} the certified bound decays too slowly to be useful and the
-reported tail is the non-rigorous envelope `10 x max |term| over
-T/10 <= n <= T`.
+at ``prec_bits`` only at the end.  Each result (``LResult`` and the m = 0
+``M0Value``) carries ``err_round``, a rigorous bound on its rounding error:
+2^-G sum_n sigma_a(n) for the floored weights (times n for the n-weighted
+series) plus half an ulp of the final conversion.  Certified tail bounds
+(Deligne bound, explicit divisor bound, integral comparison, safety factor
+2) are available for s >= 10; for s in {8, 9} the certified bound decays too
+slowly to be useful and the reported tail is the non-rigorous envelope
+`10 x max |term| over T/10 <= n <= T`.
+
+Each request is an :class:`LQuery`, the one place its inputs are checked:
+``verify_sweep`` and the m = 0 sums build theirs before they size any
+table, and ``verify_identity`` is ``verify_sweep`` of one m.  The pairs
+(a, s) of the m = 0 closed forms ``M0_CONSTANTS`` are the catalog's; the
+exact derivation of those constants (:func:`derive_m0_constants`) pairs the
+value at (a, s) with the monomial n^(11-s) sigma_a(n).
 
 No Python integer is made per term.  Each weight table is an int32 array of
 signed b-bit limbs, built from the two int64 words of tau by an exact long
@@ -48,6 +55,7 @@ from .arith import DEFAULT_PREC_BITS, Rat, Record, solve_exact
 from .calculus import rankin_cohen, serre
 from .forms import Form, _monomial, _table, _tables_lock, e12_delta_coords, eisenstein, tau, tau_words
 from .poincare import CONSTRUCTIONS, TauIdentity, catalog_identity, construction_seed
+from .qseries import linear_combination
 from . import _kernels, forms
 
 # Cutoffs and relative tolerances by exponent s.  These are fixed policy:
@@ -86,31 +94,33 @@ M0_PRINTED: dict[tuple[int, int], str] = {
 
 
 class LQuery(Record):
-    """One shifted L-series evaluation request."""
+    """One shifted L-series evaluation request, checked once when it is made.
+
+    Every numeric entry point builds its requests before it sizes any table,
+    so an input outside the contract is refused before any work.  A
+    ``cutoff`` of None takes the tier cutoff of s.
+    """
 
     m: int
     a: int
     s: int
-    cutoff: int
+    cutoff: int | None
     prec_bits: int = DEFAULT_PREC_BITS
     n_weight: bool = False  # auxiliary n-weighted sigma_3 series at s = 11
 
     def __post_init__(self):
         if (self.a, self.s) not in M0_CONSTANTS:
-            raise ValueError(f"(a, s) = ({self.a}, {self.s}) is outside the catalog")
+            raise ValueError(f"(a, s) = ({self.a}, {self.s}) is outside the catalog of closed forms")
         if self.n_weight and (self.a, self.s) != (3, 11):
             raise ValueError("the n-weighted auxiliary series exists only for (a, s) = (3, 11)")
         if self.m < 0:
             raise ValueError("m must be >= 0")
+        if self.cutoff is None:
+            object.__setattr__(self, "cutoff", TIERS[self.s][0])
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        _check_prec_bits(self.prec_bits)
-
-
-def _check_prec_bits(prec_bits: int) -> None:
-    """Refuse a precision below 16 bits, before any table is sized with it."""
-    if prec_bits < 16:
-        raise ValueError("precision must be at least 16 bits")
+        if self.prec_bits < 16:
+            raise ValueError("precision must be at least 16 bits")
 
 
 class LResult(Record):
@@ -365,8 +375,6 @@ def shifted_L(query: LQuery) -> LResult:
 
 def hidden_moment(m: int, cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) -> LResult:
     """Partial sum of sum_n n sigma_3(n) tau(m+n) / (m+n)^11, which is exactly zero."""
-    if cutoff is None:
-        cutoff = TIERS[11][0]
     return shifted_L(LQuery(m, 3, 11, cutoff, prec_bits, n_weight=True))
 
 
@@ -407,18 +415,6 @@ class IdentityReport(Record):
         }
 
 
-def _tier_args(entry: TauIdentity, tol: float | None, cutoff: int | None) -> tuple[float, int]:
-    """``tol`` and ``cutoff``, the tier's where not given; refuses tol outside (0, inf) and cutoff < 1."""
-    tier_cut, tier_tol = TIERS[entry.s]
-    tol = tier_tol if tol is None else tol
-    cutoff = tier_cut if cutoff is None else cutoff
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    return tol, cutoff
-
-
 def verify_identity(
     ident: str | TauIdentity,
     m: int,
@@ -426,35 +422,8 @@ def verify_identity(
     cutoff: int | None = None,
     prec_bits: int = DEFAULT_PREC_BITS,
 ) -> IdentityReport:
-    """Check tau(m) = prefactor(m) * partial sum, at the tier (or given) tolerance."""
-    entry = catalog_identity(ident) if isinstance(ident, str) else ident
-    if m < 1:
-        raise ValueError("identity index m must be >= 1")
-    tol, cutoff = _tier_args(entry, tol, cutoff)
-    res = shifted_L(LQuery(m, entry.a, entry.s, cutoff, prec_bits))
-    tau_m = tau(m)
-    pref = entry.prefactor(m)
-    with mp.workprec(prec_bits):
-        rhs = mp.mpf(int(pref.numerator)) / mp.mpf(int(pref.denominator)) * res.partial_sum
-        rel = abs(mp.mpf(tau_m) - rhs) / abs(mp.mpf(tau_m))
-        ok = rel <= tol
-        if res.rigorous and not res.tail_estimate < tol * abs(mp.mpf(tau_m)):
-            ok = False
-    return IdentityReport(
-        identity_id=entry.ident,
-        m=m,
-        a=entry.a,
-        s=entry.s,
-        cutoff=cutoff,
-        partial_sum=res.partial_sum,
-        tail_estimate=res.tail_estimate,
-        rigorous=res.rigorous,
-        lhs=tau_m,
-        rhs=rhs,
-        rel_err=rel,
-        tol=tol,
-        verdict="PASS" if ok else "FAIL",
-    )
+    """Check tau(m) = prefactor(m) * partial sum: :func:`verify_sweep` of the one m."""
+    return verify_sweep(ident, [m], tol, cutoff, prec_bits)[0]
 
 
 def verify_sweep(
@@ -464,16 +433,48 @@ def verify_sweep(
     cutoff: int | None = None,
     prec_bits: int = DEFAULT_PREC_BITS,
 ) -> list[IdentityReport]:
-    """``verify_identity`` for each m of ``ms``, in that order, on tables sized once."""
+    """Check tau(m) = prefactor(m) * partial sum for each m of ``ms``, in that order,
+    at the tier (or given) tolerance and cutoff, on tables sized once."""
     entry = catalog_identity(ident) if isinstance(ident, str) else ident
-    tol, cutoff = _tier_args(entry, tol, cutoff)
-    _check_prec_bits(prec_bits)
+    tol = TIERS[entry.s][1] if tol is None else tol
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if min(ms, default=1) < 1:
+        raise ValueError("identity index m must be >= 1")
+    # The request of the largest m (1 for no m) sizes the tables, so it is checked before any is built.
+    top = LQuery(max(ms, default=1), entry.a, entry.s, cutoff, prec_bits)
     if not ms:
         return []
-    if min(ms) < 1:
-        raise ValueError("identity index m must be >= 1")
-    _weights(entry.s, max(ms) + cutoff, prec_bits + _GUARD_BITS)
-    return [verify_identity(entry, m, tol, cutoff, prec_bits) for m in ms]
+    _weights(entry.s, top.m + top.cutoff, prec_bits + _GUARD_BITS)
+    reports = []
+    for m in ms:
+        res = shifted_L(LQuery(m, entry.a, entry.s, top.cutoff, prec_bits))
+        tau_m = tau(m)
+        pref = entry.prefactor(m)
+        with mp.workprec(prec_bits):
+            rhs = mp.mpf(int(pref.numerator)) / mp.mpf(int(pref.denominator)) * res.partial_sum
+            rel = abs(mp.mpf(tau_m) - rhs) / abs(mp.mpf(tau_m))
+            ok = rel <= tol
+            if res.rigorous and not res.tail_estimate < tol * abs(mp.mpf(tau_m)):
+                ok = False
+        reports.append(
+            IdentityReport(
+                identity_id=entry.ident,
+                m=m,
+                a=entry.a,
+                s=entry.s,
+                cutoff=top.cutoff,
+                partial_sum=res.partial_sum,
+                tail_estimate=res.tail_estimate,
+                rigorous=res.rigorous,
+                lhs=tau_m,
+                rhs=rhs,
+                rel_err=rel,
+                tol=tol,
+                verdict="PASS" if ok else "FAIL",
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +489,7 @@ class M0Value(Record):
     constant: Rat  # exact coefficient of pi^11 <Delta, Delta>
     predicted: object  # constant * pi^11 * PETERSSON_REF
     printed: str  # three-decimal reference value
+    err_round: object  # mpf, rigorous bound on |numeric - exact sum over n <= cutoff|
 
 
 def _pi11(prec: int):
@@ -499,15 +501,9 @@ def _pi11(prec: int):
 
 
 def lvalue_m0(a: int, s: int, cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) -> M0Value:
-    """Numeric sum tau(n) sigma_a(n) / n^s against its closed-form prediction."""
-    if (a, s) not in M0_CONSTANTS:
-        raise ValueError(f"(a, s) = ({a}, {s}) has no m = 0 closed form")
-    if cutoff is None:
-        cutoff = TIERS[s][0]
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    _check_prec_bits(prec_bits)
-    acc = _fixed_sum(a, s, 0, cutoff, prec_bits)[0]
+    """Numeric sum tau(n) sigma_a(n) / n^s, with its rounding bound, against its closed-form prediction."""
+    cutoff = LQuery(0, a, s, cutoff, prec_bits).cutoff
+    acc, err_round, _ = _fixed_sum(a, s, 0, cutoff, prec_bits)
     const = M0_CONSTANTS[(a, s)]
     with mp.workprec(prec_bits):
         predicted = (
@@ -516,7 +512,7 @@ def lvalue_m0(a: int, s: int, cutoff: int | None = None, prec_bits: int = DEFAUL
             * _pi11(prec_bits)
             * mp.mpf(PETERSSON_REF)
         )
-    return M0Value(a, s, cutoff, acc, const, predicted, M0_PRINTED[(a, s)])
+    return M0Value(a, s, cutoff, acc, const, predicted, M0_PRINTED[(a, s)], err_round)
 
 
 def lvalues_m0(cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) -> list[M0Value]:
@@ -524,14 +520,11 @@ def lvalues_m0(cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) ->
 
     ``cutoff`` applies to all six sums; by default each takes its tier cutoff.
     """
-    if cutoff is not None and cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    _check_prec_bits(prec_bits)
-    cutoffs = {(a, s): TIERS[s][0] if cutoff is None else cutoff for a, s in M0_CONSTANTS}
-    tau_words(max(cutoffs.values()))
-    for a in sorted({a for a, _ in cutoffs}):
-        _sigma(a, max(T for (b, _), T in cutoffs.items() if b == a))
-    return [lvalue_m0(a, s, T, prec_bits) for (a, s), T in cutoffs.items()]
+    queries = [LQuery(0, a, s, cutoff, prec_bits) for a, s in M0_CONSTANTS]
+    tau_words(max(q.cutoff for q in queries))
+    for a in sorted({q.a for q in queries}):
+        _sigma(a, max(q.cutoff for q in queries if q.a == a))
+    return [lvalue_m0(q.a, q.s, q.cutoff, prec_bits) for q in queries]
 
 
 class PeterssonEstimate(Record):
@@ -600,50 +593,40 @@ def exact_lhs_catalog(prec: int = 200) -> list[ExactIdentity]:
     entries = []
     for c in CONSTRUCTIONS:
         e_l = eisenstein(c.weight, prec)
-        lhs = c.combine(lambda op: serre(e_l, op[1]) if op[0] == "serre" else bracket(op[1], c.weight, op[2]))
+        lhs = linear_combination(
+            c.terms, lambda op: serre(e_l, op[1]) if op[0] == "serre" else bracket(op[1], c.weight, op[2]), prec
+        )
         entries.append(ExactIdentity(c.label, lhs, *e12_delta_coords(lhs)))
     return entries
-
-
-# Monomial streams n -> poly(n) sigma_a(n) correspond to L-values at m = 0:
-# sigma_1(n)/n^11 <-> (1,11), n sigma_1(n)/n^11 <-> (1,10), and so on.
-_MONOMIALS = (
-    ((1, 11), 1, 0),
-    ((1, 10), 1, 1),
-    ((1, 9), 1, 2),
-    ((1, 8), 1, 3),
-    ((3, 11), 3, 0),
-    ((3, 10), 3, 1),
-)
 
 
 def derive_m0_constants(prec: int = 201) -> dict[tuple[int, int], Rat]:
     """Derive the six m = 0 closed-form constants exactly.
 
     Each construction's m = 0 seed, whose weight-12 average is the catalog's
-    left-hand side, decomposes over the monomials n^i sigma_a(n); pairing the
-    cusp part against that average turns the decompositions into six exact
-    linear equations for the six L-values, measured in units of
-    R = (4 pi)^11 <Delta, Delta> / 10!.
+    left-hand side, decomposes over the monomials n^(11-s) sigma_a(n), one per
+    pair (a, s) of ``M0_CONSTANTS``; pairing the cusp part against that
+    average turns the decompositions into six exact linear equations for the
+    six L-values, measured in units of R = (4 pi)^11 <Delta, Delta> / 10!.
     The solution, rescaled by 4^11/10!, must reproduce ``M0_CONSTANTS``.
     """
     from .forms import sigma_sieve
 
     nmax = prec - 1
     monomial_cols = []
-    for _, a, i in _MONOMIALS:
+    for a, s in M0_CONSTANTS:
         sig = sigma_sieve(a, nmax)
-        monomial_cols.append([Rat(n**i * sig[n]) for n in range(1, nmax + 1)])
+        monomial_cols.append([Rat(n ** (11 - s) * sig[n]) for n in range(1, nmax + 1)])
     equations = []  # rows of (coefficients over the six unknowns, rhs in units of R)
     for c, entry in zip(CONSTRUCTIONS, exact_lhs_catalog(prec)):
         seed = construction_seed(c, 0, prec)
         stream = [seed[n] for n in range(1, nmax + 1)]
         combo = solve_exact(monomial_cols, stream)
         equations.append((combo, entry.delta_coeff))
-    unknown_cols = [[eq[0][j] for eq in equations] for j in range(len(_MONOMIALS))]
+    unknown_cols = [[eq[0][j] for eq in equations] for j in range(len(M0_CONSTANTS))]
     rhs = [eq[1] for eq in equations]
     sol = solve_exact(unknown_cols, rhs)
     # S = sol_j * R; the published constants are against pi^11 <Delta,Delta>:
     # S = const * pi^11 <D,D>  =>  const = sol_j * 4^11 / 10!.
     scale = Rat(4**11, math.factorial(10))
-    return {pair: sol[j] * scale for j, (pair, _, _) in enumerate(_MONOMIALS)}
+    return {pair: x * scale for pair, x in zip(M0_CONSTANTS, sol)}

@@ -28,7 +28,7 @@ from math import gcd
 from .arith import ZERO, Rat, Record, as_rat, rat_str, solve_exact
 from .calculus import _rc_seed_series, _serre_seed_series
 from .forms import Form, dim_sk, eisenstein, sigma_sieve
-from .qseries import QSeries
+from .qseries import QSeries, linear_combination
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +220,6 @@ class Construction(Record):
     e12: Rat
     delta: Rat
 
-    def combine(self, term_value):
-        """sum_t c_t term_value(op_t), scaling only the terms with c_t != 1."""
-        total = None
-        for c, op in self.terms:
-            value = term_value(op)
-            if c != 1:
-                value = value.scale(c)
-            total = value if total is None else total + value
-        return total
-
 
 # serre3_p6 and fourth_order have terms that alone break the growth bound; their
 # sums do not.  The serre3_p6 seed is m^3 - 2m^2 E2 + 7/6 m E2^2 - 7/36 (E2^3 - E6)
@@ -272,7 +262,7 @@ def construction_seed(c: Construction, m: int, prec: int) -> QSeries:
             return _serre_seed_series(c.weight, m, op[1], prec)
         return _rc_seed_series(eisenstein(op[1], prec), c.weight, m, op[2])
 
-    return c.combine(term_seed)
+    return linear_combination(c.terms, term_seed, prec)
 
 
 def relation(c: Construction, m: int, cutoff: int) -> TauRelation:
@@ -286,39 +276,44 @@ def relation(c: Construction, m: int, cutoff: int) -> TauRelation:
 
 
 class TauIdentity(Record):
-    """tau(m) = prefactor(m) * sum_{n>=1} sigma_a(n) tau(m+n) / (m+n)^s."""
+    """tau(m) = prefactor(m) * sum_{n>=1} sigma_a(n) tau(m+n) / (m+n)^s, with
+    prefactor(m) = c m^s / (m - pole), or c m^s when ``pole`` is None.
+
+    ``derivation`` names the rows of ``CONSTRUCTIONS`` whose tau relations
+    :func:`derive_identity` eliminates the identity from, in that order.
+    """
 
     ident: str
     a: int
     s: int
-    description: str
+    c: int
+    pole: Rat | None
+    derivation: tuple[str, ...]
 
     def prefactor(self, m: int) -> Rat:
         if m < 1:
             raise ValueError("identity index m must be >= 1")
-        mm = Rat(m)
-        if self.ident == "kumar":
-            return Rat(-20) * mm**11 / (mm - Rat(5, 6))
-        if self.ident == "herrero":
-            return Rat(-240) * mm**11
-        if self.ident == "s10sig1":
-            return Rat(-18) * mm**10 / (mm - Rat(3, 4))
-        if self.ident == "s10sig3":
-            return Rat(-240) * mm**10
-        if self.ident == "s9sig1":
-            return Rat(-16) * mm**9 / (mm - Rat(2, 3))
-        if self.ident == "s8sig1":
-            return Rat(-14) * mm**8 / (mm - Rat(7, 12))
-        raise ValueError(f"unknown identity {self.ident}")
+        pref = self.c * Rat(m) ** self.s
+        return pref if self.pole is None else pref / (m - self.pole)
+
+    @property
+    def description(self) -> str:
+        pole = "" if self.pole is None else f"/(m - {rat_str(self.pole)})"
+        return f"tau(m) = {self.c} m^{self.s}{pole} sum sigma_{self.a}(n) tau(m+n)/(m+n)^{self.s}"
 
 
 _CATALOG = (
-    TauIdentity("kumar", 1, 11, "tau(m) = -20 m^11/(m - 5/6) sum sigma_1(n) tau(m+n)/(m+n)^11"),
-    TauIdentity("herrero", 3, 11, "tau(m) = -240 m^11 sum sigma_3(n) tau(m+n)/(m+n)^11"),
-    TauIdentity("s10sig1", 1, 10, "tau(m) = -18 m^10/(m - 3/4) sum sigma_1(n) tau(m+n)/(m+n)^10"),
-    TauIdentity("s10sig3", 3, 10, "tau(m) = -240 m^10 sum sigma_3(n) tau(m+n)/(m+n)^10"),
-    TauIdentity("s9sig1", 1, 9, "tau(m) = -16 m^9/(m - 2/3) sum sigma_1(n) tau(m+n)/(m+n)^9"),
-    TauIdentity("s8sig1", 1, 8, "tau(m) = -14 m^8/(m - 7/12) sum sigma_1(n) tau(m+n)/(m+n)^8"),
+    TauIdentity("kumar", 1, 11, -20, Rat(5, 6), ("serre_p10",)),
+    TauIdentity("herrero", 3, 11, -240, None, ("e4_shift",)),
+    TauIdentity("s10sig1", 1, 10, -18, Rat(3, 4), ("serre_p10", "e4_shift", "serre2_p8")),
+    TauIdentity("s10sig3", 3, 10, -240, None, ("e4_shift", "bracket_e4_p6")),
+    TauIdentity(
+        "s9sig1", 1, 9, -16, Rat(2, 3), ("serre_p10", "e4_shift", "bracket_e4_p6", "serre2_p8", "serre3_p6")
+    ),
+    TauIdentity(
+        "s8sig1", 1, 8, -14, Rat(7, 12),
+        ("serre_p10", "e4_shift", "bracket_e4_p6", "serre2_p8", "serre3_p6", "fourth_order"),
+    ),
 )
 
 
@@ -346,17 +341,6 @@ def identity_relation(entry: TauIdentity, m: int, cutoff: int) -> TauRelation:
     return TauRelation(m, tuple(x // g for x in num), q // g, origin=entry.description)
 
 
-# Which constructions each identity is eliminated from.
-_DERIVATIONS = {
-    "kumar": ("serre_p10",),
-    "herrero": ("e4_shift",),
-    "s10sig3": ("e4_shift", "bracket_e4_p6"),
-    "s10sig1": ("serre_p10", "e4_shift", "serre2_p8"),
-    "s9sig1": ("serre_p10", "e4_shift", "bracket_e4_p6", "serre2_p8", "serre3_p6"),
-    "s8sig1": ("serre_p10", "e4_shift", "bracket_e4_p6", "serre2_p8", "serre3_p6", "fourth_order"),
-}
-
-
 def derive_identity(ident: str, m: int, cutoff: int = 200) -> list[Rat]:
     """Derive a catalog identity exactly from the vanishing relations.
 
@@ -366,5 +350,5 @@ def derive_identity(ident: str, m: int, cutoff: int = 200) -> list[Rat]:
     does not lie in the span (which would falsify the catalog).
     """
     entry = catalog_identity(ident)
-    relations = [relation(construction(name), m, cutoff) for name in _DERIVATIONS[ident]]
+    relations = [relation(construction(name), m, cutoff) for name in entry.derivation]
     return solve_exact(relations, identity_relation(entry, m, cutoff))

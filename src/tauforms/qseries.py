@@ -186,6 +186,21 @@ class QSeries:
         return cls(coeffs)
 
 
+def linear_combination(terms, value, prec: int):
+    """sum_t c_t value(x_t) over the pairs (c_t, x_t) of ``terms``.
+
+    A term with c_t = 0 is skipped before ``value`` is called, only a term with
+    c_t != 1 is scaled, and the sum starts from the first term left; when no
+    term is left it is the zero series to ``prec``.
+    """
+    total = None
+    for c, x in terms:
+        if c:
+            term = value(x) if c == 1 else value(x).scale(c)
+            total = term if total is None else total + term
+    return QSeries.zero(prec) if total is None else total
+
+
 def _kronecker_product(va, vb) -> list[int]:
     """The first n = min(len(va), len(vb)) coefficients of the product of two integer vectors.
 

@@ -194,13 +194,26 @@ def test_mpf_tables_grow_consistently():
     assert a == b
 
 
+ERR_ROUND_CASES = [
+    (3, 1, 11, False),
+    (3, 3, 11, False),
+    (3, 1, 10, False),
+    (3, 3, 10, False),
+    (3, 1, 9, False),
+    (3, 1, 8, False),
+    (3, 3, 11, True),
+    (0, 1, 8, False),  # the m = 0 sum, through lvalue_m0
+]
+
+
 @pytest.mark.parametrize(
-    ("a", "s", "n_weight"),
-    [(1, 11, False), (3, 11, False), (1, 10, False), (3, 10, False), (1, 9, False), (1, 8, False), (3, 11, True)],
+    ("m", "a", "s", "n_weight"),
+    ERR_ROUND_CASES,
+    ids=[f"{a}-{s}-{n_weight}" if m else f"m=0-{a}-{s}" for m, a, s, n_weight in ERR_ROUND_CASES],
 )
-def test_err_round_bounds_the_fixed_point_sum(a, s, n_weight):
-    m, cutoff, prec = 3, 2000, 256
-    res = shifted_L(LQuery(m, a, s, cutoff, prec, n_weight=n_weight))
+def test_err_round_bounds_the_fixed_point_sum(m, a, s, n_weight):
+    cutoff, prec = 2000, 256
+    res = shifted_L(LQuery(m, a, s, cutoff, prec, n_weight=n_weight)) if m else lvalue_m0(a, s, cutoff, prec)
     tau = tau_table(m + cutoff)
     with mp.workprec(1024):
         # independent reference: trial-division sigma, plain big-float sum
@@ -208,7 +221,7 @@ def test_err_round_bounds_the_fixed_point_sum(a, s, n_weight):
             mp.mpf(sigma(a, n) * (n if n_weight else 1) * tau[m + n]) / mp.mpf(m + n) ** s
             for n in range(1, cutoff + 1)
         )
-        gap = abs(res.partial_sum - ref)
+        gap = abs((res.partial_sum if m else res.numeric) - ref)
         assert gap <= res.err_round + mp.ldexp(abs(ref), -prec)
     assert 0 < res.err_round < mp.ldexp(1, -prec)
 
@@ -295,18 +308,22 @@ def test_verify_sweep_of_no_m_builds_nothing(fresh_tables, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("ms", "prec_bits", "match"),
+    ("verify", "ms", "args", "match"),
     [
-        pytest.param([1], 15, "at least 16 bits", id="15"),
-        pytest.param([1], 0, "at least 16 bits", id="0"),
-        pytest.param([1], -100, "at least 16 bits", id="-100"),
-        pytest.param([0], 256, "m must be >= 1", id="m=0"),
-        pytest.param([3, -2000], 256, "m must be >= 1", id="m=3,-2000"),
+        pytest.param(verify_sweep, [1], {"prec_bits": 15}, "at least 16 bits", id="15"),
+        pytest.param(verify_sweep, [1], {"prec_bits": 0}, "at least 16 bits", id="0"),
+        pytest.param(verify_sweep, [1], {"prec_bits": -100}, "at least 16 bits", id="-100"),
+        pytest.param(verify_sweep, [0], {}, "m must be >= 1", id="m=0"),
+        pytest.param(verify_sweep, [3, -2000], {}, "m must be >= 1", id="m=3,-2000"),
+        pytest.param(verify_identity, 1, {"prec_bits": 15}, "at least 16 bits", id="verify_identity-15"),
+        pytest.param(verify_identity, 0, {}, "m must be >= 1", id="verify_identity-m=0"),
+        pytest.param(verify_identity, 1, {"cutoff": 0}, "cutoff must be >= 1", id="verify_identity-cutoff=0"),
+        pytest.param(verify_identity, 1, {"tol": 0}, "tol must be positive and finite", id="verify_identity-tol=0"),
     ],
 )
-def test_verify_sweep_refuses_a_low_precision_before_building(fresh_tables, ms, prec_bits, match):
+def test_verify_sweep_refuses_a_low_precision_before_building(fresh_tables, verify, ms, args, match):
     with pytest.raises(ValueError, match=match):
-        verify_sweep("kumar", ms, cutoff=3000, prec_bits=prec_bits)
+        verify("kumar", ms, **{"cutoff": 3000, **args})
     assert fresh_tables == []
 
 
@@ -316,6 +333,10 @@ def test_m0_sums_refuse_a_low_precision_before_building(fresh_tables, prec_bits)
         lvalue_m0(1, 11, 100, prec_bits=prec_bits)
     with pytest.raises(ValueError, match="at least 16 bits"):
         lvalues_m0(100, prec_bits=prec_bits)
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        lvalue_m0(1, 11, 0)
+    with pytest.raises(ValueError, match="closed form"):
+        lvalue_m0(3, 9, prec_bits=prec_bits)
     assert fresh_tables == []
 
 

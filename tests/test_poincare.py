@@ -2,14 +2,17 @@ import json
 
 import pytest
 
-from tauforms.arith import Rat
+from tauforms import poincare
+from tauforms.arith import InconsistentSystem, Rat
 from tauforms.calculus import rc_seed, serre_seed
 from tauforms.forms import delta, e2, eisenstein, one, sigma
 from tauforms.forms import _e2_power
+from tauforms.lseries import M0_CONSTANTS
 from tauforms.poincare import (
     CONSTRUCTIONS,
     FormalPoincare,
     Growth,
+    TauIdentity,
     TauRelation,
     admissible,
     catalog_identity,
@@ -261,10 +264,58 @@ def test_every_construction_term_has_weight_12():
 # -- the catalog ---------------------------------------------------------------
 
 
+# The six identities as written out by hand: the reference for the catalog rows.
+WRITTEN_IDENTITIES = {
+    "kumar": (
+        lambda m: Rat(-20) * Rat(m) ** 11 / (m - Rat(5, 6)),
+        "tau(m) = -20 m^11/(m - 5/6) sum sigma_1(n) tau(m+n)/(m+n)^11",
+    ),
+    "herrero": (lambda m: Rat(-240) * Rat(m) ** 11, "tau(m) = -240 m^11 sum sigma_3(n) tau(m+n)/(m+n)^11"),
+    "s10sig1": (
+        lambda m: Rat(-18) * Rat(m) ** 10 / (m - Rat(3, 4)),
+        "tau(m) = -18 m^10/(m - 3/4) sum sigma_1(n) tau(m+n)/(m+n)^10",
+    ),
+    "s10sig3": (lambda m: Rat(-240) * Rat(m) ** 10, "tau(m) = -240 m^10 sum sigma_3(n) tau(m+n)/(m+n)^10"),
+    "s9sig1": (
+        lambda m: Rat(-16) * Rat(m) ** 9 / (m - Rat(2, 3)),
+        "tau(m) = -16 m^9/(m - 2/3) sum sigma_1(n) tau(m+n)/(m+n)^9",
+    ),
+    "s8sig1": (
+        lambda m: Rat(-14) * Rat(m) ** 8 / (m - Rat(7, 12)),
+        "tau(m) = -14 m^8/(m - 7/12) sum sigma_1(n) tau(m+n)/(m+n)^8",
+    ),
+}
+
+
 def test_catalog_contents():
     cat = identity_catalog()
     assert [e.ident for e in cat] == ["kumar", "herrero", "s10sig1", "s10sig3", "s9sig1", "s8sig1"]
     assert {(e.a, e.s) for e in cat} == {(1, 11), (3, 11), (1, 10), (3, 10), (1, 9), (1, 8)}
+    assert {(e.a, e.s) for e in cat} == set(M0_CONSTANTS)
+    names = {c.name for c in CONSTRUCTIONS}
+    for e in cat:
+        assert e.derivation and set(e.derivation) <= names, e.ident
+
+
+def test_catalog_rows_match_the_written_identities():
+    assert [e.ident for e in identity_catalog()] == list(WRITTEN_IDENTITIES)
+    for entry in identity_catalog():
+        prefactor, description = WRITTEN_IDENTITIES[entry.ident]
+        assert entry.description == description
+        assert all(entry.prefactor(m) == prefactor(m) for m in range(1, 41)), entry.ident
+
+
+@pytest.mark.parametrize("ident", list(WRITTEN_IDENTITIES))
+@pytest.mark.parametrize("field", ["c", "pole"])
+def test_a_changed_catalog_row_does_not_derive(monkeypatch, ident, field):
+    entry = catalog_identity(ident)
+    values = {name: getattr(entry, name) for name in TauIdentity._fields}
+    values[field] = entry.c + 1 if field == "c" else (Rat(1, 2) if entry.pole is None else entry.pole + Rat(1, 7))
+    changed = TauIdentity(**values)
+    monkeypatch.setattr(poincare, "_CATALOG", tuple(changed if e is entry else e for e in identity_catalog()))
+    assert catalog_identity(ident) == changed
+    with pytest.raises(InconsistentSystem):
+        derive_identity(ident, 3, cutoff=60)
 
 
 def test_catalog_prefactors():

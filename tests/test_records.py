@@ -84,11 +84,12 @@ CASES = [
             "constant": Rat(1, 2),
             "predicted": mpf(1),
             "printed": "0.880",
+            "err_round": mpf(2),
         },
         {},
         {"printed": "0.754"},
         "M0Value(a=1, s=11, cutoff=100, numeric=mpf('1.0'), constant=Fraction(1, 2), "
-        "predicted=mpf('1.0'), printed='0.880')",
+        "predicted=mpf('1.0'), printed='0.880', err_round=mpf('2.0'))",
     ),
     (
         PeterssonEstimate,
@@ -141,10 +142,10 @@ CASES = [
     ),
     (
         TauIdentity,
-        {"ident": "kumar", "a": 1, "s": 11, "description": "d"},
+        {"ident": "kumar", "a": 1, "s": 11, "c": -20, "pole": Rat(5, 6), "derivation": ("serre_p10",)},
         {},
-        {"a": 3},
-        "TauIdentity(ident='kumar', a=1, s=11, description='d')",
+        {"pole": None},
+        "TauIdentity(ident='kumar', a=1, s=11, c=-20, pole=Fraction(5, 6), derivation=('serre_p10',))",
     ),
     (
         Token,
