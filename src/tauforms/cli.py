@@ -98,7 +98,6 @@ def _prec_bits(args) -> int:
 
 def cmd_expand(args) -> int:
     node = expr_mod.parse(args.expr)
-    info = expr_mod.annotate(node)
     form = expr_mod.evaluate(node, args.prec)
     if args.json:
         import json
@@ -108,7 +107,7 @@ def cmd_expand(args) -> int:
         payload["quasimodular"] = form.quasimodular
         print(json.dumps(payload))
     else:
-        print(f"# {expr_mod.to_text(node)}  [{info}]")
+        print(f"# {expr_mod.to_text(node)}  [{expr_mod.WeightInfo(form.weight, form.quasimodular)}]")
         for n, c in enumerate(form.series.coeffs):
             print(f"q^{n}: {rat_str(c)}")
     return EXIT_PASS
@@ -130,13 +129,26 @@ def cmd_basis(args) -> int:
     return EXIT_PASS
 
 
+@contextlib.contextmanager
 def _open_csv(path: str | None):
     """The ``--csv`` file, opened before any work so that a bad path fails at once.
 
     Append mode keeps an existing file intact until ``_write_csv`` replaces its
-    contents, so a usage error found later leaves it as it was.
+    contents, so a usage error found later leaves it as it was; a file that the
+    command created is removed again.
     """
-    return open(path, "a", newline="") if path else contextlib.nullcontext()
+    if not path:
+        yield None
+        return
+    created = not os.path.exists(path)
+    fh = open(path, "a", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _write_csv(fh, rows: list[dict]) -> None:

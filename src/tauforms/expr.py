@@ -10,9 +10,10 @@ Grammar (standard precedence, left associative, ^ binds tightest):
 Atoms: E2 E4 E6 E8 E10 E12 E14 Delta, rational literals p/q, Ek(k).
 Functions: D(e[, j]), RC(f, g, n), Serre(f, m), Ppoly(k, f).
 
-Every expression gets a static weight annotation before evaluation;
-mismatched weights in '+'/'-' and quasimodular operands of RC/Serre/Ppoly
-are rejected with positions.
+One pass checks the whole expression and then builds it: ``_compile`` gives
+each node its static weight and a builder made from its operands' builders,
+so mismatched weights in '+'/'-', quasimodular operands of RC/Serre/Ppoly
+and bad literals are rejected with positions before any series is made.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def to_text(node) -> str:
     raise TypeError(f"not a syntax node: {node!r}")
 
 
-# -- static weight annotation ------------------------------------------------
+# -- checking and building ----------------------------------------------------
 
 
 class WeightInfo(Record):
@@ -239,35 +240,47 @@ def _expect_int_literal(node, what: str):
 
 def annotate(node) -> WeightInfo:
     """Static weight/kind of an expression; raises on inconsistency."""
+    return _compile(node)[0]
+
+
+def evaluate(node, prec: int) -> Form:
+    """Exact q-expansion of a weight-checked expression."""
+    return _compile(node)[1](prec)
+
+
+def _compile(node):
+    """Check ``node`` and everything below it, in source order, and return its
+    :class:`WeightInfo` with a ``build(prec) -> Form`` made from its operands' builds."""
     if isinstance(node, Num):
-        return WeightInfo(0, False)
+        return WeightInfo(0, False), lambda prec: one(prec).scale(node.value)
     if isinstance(node, Atom):
         if node.name == "E2":
-            return WeightInfo(2, True)
-        return WeightInfo(_ATOMS[node.name], False)
+            return WeightInfo(2, True), e2
+        if node.name == "Delta":
+            return WeightInfo(12, False), delta
+        k = _ATOMS[node.name]
+        return WeightInfo(k, False), lambda prec: eisenstein(k, prec)
     if isinstance(node, Neg):
-        return annotate(node.operand)
-    if isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            lw, rw = annotate(node.left), annotate(node.right)
-            if lw.weight != rw.weight:
-                raise ExprError(f"weight mismatch {lw.weight} vs {rw.weight}", node.pos)
-            return WeightInfo(lw.weight, lw.quasimodular or rw.quasimodular)
-        if node.op == "*":
-            lw, rw = annotate(node.left), annotate(node.right)
-            return WeightInfo(lw.weight + rw.weight, lw.quasimodular or rw.quasimodular)
+        info, build = _compile(node.operand)
+        return info, lambda prec: build(prec).scale(-1)
+    if isinstance(node, BinOp) and node.op in ("+", "-", "*", "^"):
+        lw, left = _compile(node.left)
         if node.op == "^":
-            lw = annotate(node.left)
             e = _expect_int_literal(node.right, "exponent")
             if e < 0:
                 raise ExprError("exponent must be >= 0", node.pos)
-            return WeightInfo(lw.weight * e, lw.quasimodular and e > 0)
-    if isinstance(node, Call):
-        return _annotate_call(node)
-    raise TypeError(f"not a syntax node: {node!r}")
-
-
-def _annotate_call(node: Call) -> WeightInfo:
+            return WeightInfo(lw.weight * e, lw.quasimodular and e > 0), lambda prec: left(prec) ** e
+        rw, right = _compile(node.right)
+        quasimodular = lw.quasimodular or rw.quasimodular
+        if node.op == "*":
+            return WeightInfo(lw.weight + rw.weight, quasimodular), lambda prec: left(prec) * right(prec)
+        if lw.weight != rw.weight:
+            raise ExprError(f"weight mismatch {lw.weight} vs {rw.weight}", node.pos)
+        if node.op == "+":
+            return WeightInfo(lw.weight, quasimodular), lambda prec: left(prec) + right(prec)
+        return WeightInfo(lw.weight, quasimodular), lambda prec: left(prec) - right(prec)
+    if not isinstance(node, Call):
+        raise TypeError(f"not a syntax node: {node!r}")
     name, args = node.name, node.args
     if name == "Ek":
         if len(args) != 1:
@@ -275,40 +288,40 @@ def _annotate_call(node: Call) -> WeightInfo:
         k = _expect_int_literal(args[0], "Eisenstein weight")
         if k % 2 or k < 4:
             raise ExprError(f"Ek needs even k >= 4 (use E2 for weight 2), got {k}", node.pos)
-        return WeightInfo(k, False)
+        return WeightInfo(k, False), lambda prec: eisenstein(k, prec)
     if name == "D":
         if len(args) not in (1, 2):
             raise ExprError("D takes D(f) or D(f, j)", node.pos)
-        inner = annotate(args[0])
+        inner, f = _compile(args[0])
         j = _expect_int_literal(args[1], "derivative order") if len(args) == 2 else 1
         if j < 0:
             raise ExprError("derivative order must be >= 0", node.pos)
-        return WeightInfo(inner.weight + 2 * j, True if j > 0 else inner.quasimodular)
+        return WeightInfo(inner.weight + 2 * j, j > 0 or inner.quasimodular), lambda prec: f(prec).derive(j)
     if name == "RC":
         if len(args) != 3:
             raise ExprError("RC takes RC(f, g, n)", node.pos)
-        fw, gw = annotate(args[0]), annotate(args[1])
+        (fw, f), (gw, g) = _compile(args[0]), _compile(args[1])
         n = _expect_int_literal(args[2], "bracket order")
         if fw.quasimodular or gw.quasimodular:
             raise ExprError("RC requires modular operands (no E2 content)", node.pos)
         if n < 0:
             raise ExprError("bracket order must be >= 0", node.pos)
-        return WeightInfo(fw.weight + gw.weight + 2 * n, False)
+        return WeightInfo(fw.weight + gw.weight + 2 * n, False), lambda prec: rankin_cohen(f(prec), g(prec), n)
     if name == "Serre":
         if len(args) != 2:
             raise ExprError("Serre takes Serre(f, m)", node.pos)
-        fw = annotate(args[0])
+        fw, f = _compile(args[0])
         m = _expect_int_literal(args[1], "Serre order")
         if fw.quasimodular:
             raise ExprError("Serre requires a modular operand (no E2 content)", node.pos)
         if m < 0:
             raise ExprError("Serre order must be >= 0", node.pos)
-        return WeightInfo(fw.weight + 2 * m, False)
+        return WeightInfo(fw.weight + 2 * m, False), lambda prec: serre(f(prec), m)
     if name == "Ppoly":
         if len(args) != 2:
             raise ExprError("Ppoly takes Ppoly(k, f)", node.pos)
         k = _expect_int_literal(args[0], "averaging weight")
-        fw = annotate(args[1])
+        fw, f = _compile(args[1])
         if fw.quasimodular:
             raise ExprError("Ppoly requires a modular seed", node.pos)
         if k - fw.weight < 4:
@@ -318,54 +331,5 @@ def _annotate_call(node: Call) -> WeightInfo:
             )
         if (k - fw.weight) % 2:
             raise ExprError(f"averaging weight {k} minus seed weight {fw.weight} is odd", node.pos)
-        return WeightInfo(k, False)
+        return WeightInfo(k, False), lambda prec: eval_modular_seed(f(prec), k)
     raise ExprError(f"unknown function {name!r}", node.pos)
-
-
-# -- evaluation ---------------------------------------------------------------
-
-
-def evaluate(node, prec: int) -> Form:
-    """Exact q-expansion of a weight-checked expression."""
-    annotate(node)
-    return _eval(node, prec)
-
-
-def _eval(node, prec: int) -> Form:
-    if isinstance(node, Num):
-        return one(prec).scale(node.value)
-    if isinstance(node, Atom):
-        if node.name == "E2":
-            return e2(prec)
-        if node.name == "Delta":
-            return delta(prec)
-        return eisenstein(_ATOMS[node.name], prec)
-    if isinstance(node, Neg):
-        return _eval(node.operand, prec).scale(-1)
-    if isinstance(node, BinOp):
-        if node.op == "+":
-            return _eval(node.left, prec) + _eval(node.right, prec)
-        if node.op == "-":
-            return _eval(node.left, prec) - _eval(node.right, prec)
-        if node.op == "*":
-            return _eval(node.left, prec) * _eval(node.right, prec)
-        if node.op == "^":
-            return _eval(node.left, prec) ** int(node.right.value.numerator)
-    if isinstance(node, Call):
-        if node.name == "Ek":
-            return eisenstein(_expect_int_literal(node.args[0], "Eisenstein weight"), prec)
-        if node.name == "D":
-            j = _expect_int_literal(node.args[1], "derivative order") if len(node.args) == 2 else 1
-            return _eval(node.args[0], prec).derive(j)
-        if node.name == "RC":
-            return rankin_cohen(
-                _eval(node.args[0], prec),
-                _eval(node.args[1], prec),
-                _expect_int_literal(node.args[2], "bracket order"),
-            )
-        if node.name == "Serre":
-            return serre(_eval(node.args[0], prec), _expect_int_literal(node.args[1], "Serre order"))
-        if node.name == "Ppoly":
-            k = _expect_int_literal(node.args[0], "averaging weight")
-            return eval_modular_seed(_eval(node.args[1], prec), k)
-    raise TypeError(f"not a syntax node: {node!r}")

@@ -155,6 +155,8 @@ class TauRelation(Record):
         return len(self.num) - 1
 
     def coeff(self, n: int) -> Rat:
+        if n < 0:
+            raise ValueError(f"relation coefficients start at n=0, asked for n={n}")
         if n > self.cutoff:
             raise ValueError(f"relation stream prepared to n={self.cutoff}, asked for n={n}")
         return Rat(self.num[n], self.den)

@@ -77,6 +77,8 @@ class QSeries:
         return tuple(Rat(x, d) for x in self.num)
 
     def __getitem__(self, n: int) -> Rat:
+        if n < 0:
+            raise IndexError(f"series index must be >= 0, got {n}")
         return Rat(self.num[n], self.den)
 
     def __iter__(self):

@@ -6,11 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import tauforms
-from tauforms import _kernels, expr, lseries
+from tauforms import _kernels, expr, forms, lseries
 from tauforms.arith import Rat
 from tauforms.cli import main
 from tauforms.forms import delta, eisenstein
@@ -120,6 +120,68 @@ def test_eval_ek_and_neg():
     assert form.series.is_zero()
     form = expr.evaluate(expr.parse("-(E4) + E4"), 10)
     assert form.series.is_zero()
+
+
+# Expressions of every node kind and function, with small literals; most draws
+# are well formed, and the test keeps only those.
+_SMALL = st.sampled_from(["0", "1", "2"])
+_CANDIDATE = st.recursive(
+    st.sampled_from([*expr._ATOMS, "0", "1", "2", "1/2", "5/6", "Ek(4)", "Ek(6)"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(inner, _SMALL).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda e: f"D({e})"),
+        st.tuples(inner, _SMALL).map(lambda t: f"D({t[0]}, {t[1]})"),
+        st.tuples(inner, inner, _SMALL).map(lambda t: f"RC({t[0]}, {t[1]}, {t[2]})"),
+        st.tuples(inner, _SMALL).map(lambda t: f"Serre({t[0]}, {t[1]})"),
+        st.tuples(st.sampled_from(["4", "8", "12", "16"]), inner).map(lambda t: f"Ppoly({t[0]}, {t[1]})"),
+    ),
+    max_leaves=4,
+)
+
+
+def _subtrees(node):
+    yield node
+    for child in (getattr(node, "operand", None), getattr(node, "left", None), getattr(node, "right", None)):
+        if child is not None:
+            yield from _subtrees(child)
+    for arg in getattr(node, "args", ()):
+        yield from _subtrees(arg)
+
+
+@given(text=_CANDIDATE, prec=st.integers(2, 12))
+def test_static_weight_is_the_built_forms_weight(text, prec):
+    # expand prints its [weight ...] tag from the built form; this is why it may.
+    node = expr.parse(text)
+    try:
+        info = expr.annotate(node)
+    except expr.ExprError:
+        assume(False)
+    if any(expr.annotate(sub) == expr.WeightInfo(2, False) for sub in _subtrees(node)):
+        # RC or Serre of constants somewhere: the static check passes, and Form
+        # refuses a weight-2 form without E2 content.
+        with pytest.raises(ValueError, match="weight 2 carries no modular forms"):
+            expr.evaluate(node, prec)
+        return
+    form = expr.evaluate(node, prec)
+    assert info == expr.WeightInfo(form.weight, form.quasimodular)
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("RC(E4, E6, 1) + E4", "weight mismatch 12 vs 4"),
+        ("Serre(E10, 1) * RC(E2, E4, 1)", "RC requires modular operands"),
+        ("Ppoly(12, RC(E4, E6, 1) * E4)", "too small for a weight-16 seed"),
+    ],
+)
+def test_an_ill_typed_expression_makes_no_series(text, message, fresh_tables, products):
+    # The fault is in the last operand, and the whole tree is checked before
+    # any operand is built.
+    with pytest.raises(expr.ExprError, match=message):
+        expr.evaluate(expr.parse(text), 12)
+    assert fresh_tables == [] and products == [] and forms._tables == {}
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -344,12 +406,15 @@ def test_cli_csv_to_a_missing_directory_exits_2_with_one_line(argv, capsys, tmp_
     ],
 )
 def test_cli_usage_error_leaves_an_existing_csv_intact(argv, capsys, tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("old\n")
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--csv", str(path)])
-    assert exc.value.code == 2
-    assert path.read_text() == "old\n"
+    # An existing file keeps its bytes; a path that did not exist is not left behind.
+    for name, old in (("x.csv", "old\n"), ("new.csv", None)):
+        path = tmp_path / name
+        if old is not None:
+            path.write_text(old)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--csv", str(path)])
+        assert exc.value.code == 2
+        assert (path.read_text() if path.exists() else None) == old
 
 
 @pytest.mark.parametrize(

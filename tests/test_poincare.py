@@ -116,6 +116,8 @@ def test_relation_stream_cutoff_error():
     assert rel.coeff(10) == 20 * sigma(1, 10)
     with pytest.raises(ValueError, match="prepared to"):
         rel.coeff(11)
+    with pytest.raises(ValueError, match="start at n=0"):
+        rel.coeff(-1)
 
 
 def test_relation_serre_p10_stream():

@@ -60,6 +60,9 @@ def test_e2_square_coefficients():
     # coefficient of q^n in E2^2 is 240 sigma_3(n) - 288 n sigma_1(n)
     sq = e2(51).series ** 2
     assert sq[0] == 1
+    for n in (-1, 51):  # neither end wraps round
+        with pytest.raises(IndexError):
+            sq[n]
     for n in range(1, 51):
         assert sq[n] == 240 * sigma(3, n) - 288 * n * sigma(1, n)
 
