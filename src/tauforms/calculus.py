@@ -42,7 +42,10 @@ def _require_modular(f: Form, op: str) -> None:
 
 def _rc_coeffs(k: int, l: int, n: int) -> list[int]:
     """c_j of [f, g]_n = sum_j c_j D^j f D^{n-j} g on weights (k, l):
-    c_j = (-1)^j C(k+n-1, n-j) C(l+n-1, j)."""
+    c_j = (-1)^j C(k+n-1, n-j) C(l+n-1, j).  At n = 0 the one coefficient is
+    C(k-1, 0) C(l-1, 0) = 1 for every weight, so [f, g]_0 = f g also when k or l is 0."""
+    if n == 0:
+        return [1]
     return [(-1) ** j * binomial(k + n - 1, n - j) * binomial(l + n - 1, j) for j in range(n + 1)]
 
 

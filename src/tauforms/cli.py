@@ -30,8 +30,6 @@ import contextlib
 import os
 import sys
 
-from mpmath import mp
-
 from . import expr as expr_mod
 from . import lseries
 from ._kernels import _MAX_PREC
@@ -133,7 +131,7 @@ def cmd_basis(args) -> int:
 def _open_csv(path: str | None):
     """The ``--csv`` file, opened before any work so that a bad path fails at once.
 
-    Append mode keeps an existing file intact until ``_write_csv`` replaces its
+    Append mode keeps an existing file intact until ``_write`` replaces its
     contents, so a usage error found later leaves it as it was; a file that the
     command created is removed again.
     """
@@ -151,13 +149,26 @@ def _open_csv(path: str | None):
         raise
 
 
-def _write_csv(fh, rows: list[dict]) -> None:
-    import csv
+def _write(args, csv_fh, reports: list, payload, lines: list[str]) -> int:
+    """Print a numeric command's reports and return its exit code from their verdicts.
 
-    fh.truncate(0)
-    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
+    With --json ``payload`` is printed as JSON, else ``lines`` as text; with
+    --csv ``payload``, a list of rows, also replaces the contents of ``csv_fh``.
+    """
+    if csv_fh:
+        import csv
+
+        csv_fh.truncate(0)
+        writer = csv.DictWriter(csv_fh, fieldnames=list(payload[0]))
+        writer.writeheader()
+        writer.writerows(payload)
+    if args.json:
+        import json
+
+        print(json.dumps(payload))
+    else:
+        print("\n".join(lines))
+    return EXIT_PASS if all(r.verdict == "PASS" for r in reports) else EXIT_FAIL
 
 
 def cmd_verify_tau(args) -> int:
@@ -167,104 +178,39 @@ def cmd_verify_tau(args) -> int:
     ms = range(args.m_from, args.m_to + 1)
     with _open_csv(args.csv) as fh:
         reports = lseries.verify_sweep(args.id, ms, tol=args.tol, cutoff=args.cutoff, prec_bits=prec)
-        rows = [r.row() for r in reports]
-        if fh:
-            _write_csv(fh, rows)
-    if args.json:
-        import json
-
-        print(json.dumps(rows))
-    else:
-        for r in reports:
-            print(
-                f"{r.identity_id} m={r.m}: tau(m)={r.lhs}  rel_err={mpf_str(r.rel_err, 6)}  "
-                f"cutoff={r.cutoff} tail={mpf_str(r.tail_estimate, 6)} "
-                f"rigorous={'yes' if r.rigorous else 'no'}  {r.verdict}"
-            )
-    return EXIT_PASS if all(r.verdict == "PASS" for r in reports) else EXIT_FAIL
+        lines = [
+            f"{r.identity_id} m={r.m}: tau(m)={r.lhs}  rel_err={mpf_str(r.rel_err, 6)}  "
+            f"cutoff={r.result.terms_used} tail={mpf_str(r.result.tail_estimate, 6)} "
+            f"rigorous={'yes' if r.result.rigorous else 'no'}  {r.verdict}"
+            for r in reports
+        ]
+        return _write(args, fh, reports, [r.row() for r in reports], lines)
 
 
 def cmd_lvalues(args) -> int:
     prec = _prec_bits(args)
-    rows = []
-    ok = True
     with _open_csv(args.csv) as fh:
-        for val in lseries.lvalues_m0(cutoff=args.cutoff, prec_bits=prec):
-            with mp.workprec(prec):
-                diff = abs(val.numeric - mp.mpf(val.printed))
-                match = diff < mp.mpf("5e-4")
-            ok = ok and match
-            rows.append(
-                {
-                    "a": val.a,
-                    "s": val.s,
-                    "cutoff": val.cutoff,
-                    "numeric": mpf_str(val.numeric, 15),
-                    "predicted": mpf_str(val.predicted, 15),
-                    "constant": rat_str(val.constant),
-                    "printed": val.printed,
-                    "verdict": "PASS" if match else "FAIL",
-                }
-            )
-        if fh:
-            _write_csv(fh, rows)
-    if args.json:
-        import json
-
-        print(json.dumps(rows))
-    else:
-        for r in rows:
-            print(
-                f"(a={r['a']}, s={r['s']}) cutoff={r['cutoff']}: sum={r['numeric']}  "
-                f"closed form={r['constant']} * pi^11 * <D,D> = {r['predicted']}  "
-                f"printed {r['printed']}  {r['verdict']}"
-            )
-    return EXIT_PASS if ok else EXIT_FAIL
+        values = lseries.lvalues_m0(cutoff=args.cutoff, prec_bits=prec)
+        rows = [v.row() for v in values]
+        lines = [
+            f"(a={r['a']}, s={r['s']}) cutoff={r['cutoff']}: sum={r['numeric']}  "
+            f"closed form={r['constant']} * pi^11 * <D,D> = {r['predicted']}  "
+            f"printed {r['printed']}  {r['verdict']}"
+            for r in rows
+        ]
+        return _write(args, fh, values, rows, lines)
 
 
 def cmd_petersson(args) -> int:
-    prec = _prec_bits(args)
-    report = lseries.petersson_recover(prec_bits=prec)
-    ok = True
-    lines = []
-    with mp.workprec(prec):
-        for est in report.estimates:
-            tol = mp.mpf("1e-6") if est.s >= 10 else mp.mpf("1e-3")
-            good = est.rel_dev_from_ref < tol
-            if est.s == 11:
-                good = est.rel_dev_from_ref < mp.mpf("1e-9")
-            ok = ok and good
-            lines.append(
-                f"(a={est.a}, s={est.s}): <Delta,Delta> = {mpf_str(est.estimate, 13)}  "
-                f"rel dev from reference {mpf_str(est.rel_dev_from_ref, 4)}  "
-                f"{'PASS' if good else 'FAIL'}"
-            )
-        lines.append(f"max pairwise deviation (s >= 10 entries): {mpf_str(report.max_pairwise_high, 4)}")
-        lines.append(f"max pairwise deviation (all entries):     {mpf_str(report.max_pairwise_low, 4)}")
-        if not report.max_pairwise_high < mp.mpf("1e-6"):
-            ok = False
-    if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "reference": report.reference,
-                    "estimates": [
-                        {
-                            "a": e.a,
-                            "s": e.s,
-                            "estimate": mpf_str(e.estimate, 13),
-                            "rel_dev_from_ref": mpf_str(e.rel_dev_from_ref, 6),
-                        }
-                        for e in report.estimates
-                    ],
-                }
-            )
-        )
-    else:
-        print("\n".join(lines))
-    return EXIT_PASS if ok else EXIT_FAIL
+    report = lseries.petersson_recover(prec_bits=_prec_bits(args))
+    lines = [
+        f"(a={e.a}, s={e.s}): <Delta,Delta> = {mpf_str(e.estimate, 13)}  "
+        f"rel dev from reference {mpf_str(e.rel_dev_from_ref, 4)}  {e.verdict}"
+        for e in report.estimates
+    ]
+    lines.append(f"max pairwise deviation (s >= 10 entries): {mpf_str(report.max_pairwise_high, 4)}")
+    lines.append(f"max pairwise deviation (all entries):     {mpf_str(report.max_pairwise_low, 4)}")
+    return _write(args, None, [report], report.row(), lines)
 
 
 def cmd_tau(args) -> int:

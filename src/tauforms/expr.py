@@ -238,6 +238,13 @@ def _expect_int_literal(node, what: str):
     return int(node.value.numerator)
 
 
+def _modular(weight: int, node) -> WeightInfo:
+    """The type of an RC or Serre node: modular of ``weight``, which cannot be 2 (of constants)."""
+    if weight == 2:
+        raise ExprError(f"{node.name} of constants has weight 2, which carries no modular forms", node.pos)
+    return WeightInfo(weight, False)
+
+
 def annotate(node) -> WeightInfo:
     """Static weight/kind of an expression; raises on inconsistency."""
     return _compile(node)[0]
@@ -306,7 +313,7 @@ def _compile(node):
             raise ExprError("RC requires modular operands (no E2 content)", node.pos)
         if n < 0:
             raise ExprError("bracket order must be >= 0", node.pos)
-        return WeightInfo(fw.weight + gw.weight + 2 * n, False), lambda prec: rankin_cohen(f(prec), g(prec), n)
+        return _modular(fw.weight + gw.weight + 2 * n, node), lambda prec: rankin_cohen(f(prec), g(prec), n)
     if name == "Serre":
         if len(args) != 2:
             raise ExprError("Serre takes Serre(f, m)", node.pos)
@@ -316,7 +323,7 @@ def _compile(node):
             raise ExprError("Serre requires a modular operand (no E2 content)", node.pos)
         if m < 0:
             raise ExprError("Serre order must be >= 0", node.pos)
-        return WeightInfo(fw.weight + 2 * m, False), lambda prec: serre(f(prec), m)
+        return _modular(fw.weight + 2 * m, node), lambda prec: serre(f(prec), m)
     if name == "Ppoly":
         if len(args) != 2:
             raise ExprError("Ppoly takes Ppoly(k, f)", node.pos)

@@ -14,6 +14,11 @@ series) plus half an ulp of the final conversion.  Certified tail bounds
 slowly to be useful and the reported tail is the non-rigorous envelope
 `10 x max |term| over T/10 <= n <= T`.
 
+Each report is finished here: an ``IdentityReport`` holds its m's
+``LResult`` (``err_round`` included), and ``M0Value``, ``PeterssonEstimate``
+and ``PeterssonReport`` carry a ``verdict`` decided at ``prec_bits`` against
+``M0_PRINTED_TOL`` and ``PETERSSON_TOL``.
+
 Each request is an :class:`LQuery`, the one place its inputs are checked:
 ``verify_sweep`` and the m = 0 sums build theirs before they size any
 table, and ``verify_identity`` is ``verify_sweep`` of one m.  The pairs
@@ -51,7 +56,7 @@ from operator import add, lshift
 import numpy as np
 from mpmath import mp
 
-from .arith import DEFAULT_PREC_BITS, Rat, Record, solve_exact
+from .arith import DEFAULT_PREC_BITS, Rat, Record, mpf_str, rat_str, solve_exact
 from .calculus import rankin_cohen, serre
 from .forms import Form, _monomial, _table, _tables_lock, e12_delta_coords, eisenstein, tau, tau_words
 from .poincare import CONSTRUCTIONS, TauIdentity, catalog_identity, construction_seed
@@ -67,6 +72,11 @@ TIERS: dict[int, tuple[int, float]] = {
     9: (100_000, 1e-6),
     8: (300_000, 1e-4),
 }
+
+# Relative tolerances of the Petersson norm recovered at exponent s against
+# PETERSSON_REF; the s >= 10 estimates must also agree pairwise within the
+# s = 10 entry.  Strings, so each is read at the precision it is compared at.
+PETERSSON_TOL: dict[int, str] = {11: "1e-9", 10: "1e-6", 9: "1e-3", 8: "1e-3"}
 
 #: Petersson norm-square of the weight-12 cusp form, reference value.
 PETERSSON_REF = "1.03536205680e-6"
@@ -91,6 +101,13 @@ M0_PRINTED: dict[tuple[int, int], str] = {
     (1, 9): "0.880",
     (1, 8): "0.754",
 }
+
+#: An m = 0 sum passes within half a unit of the third decimal of its ``M0_PRINTED`` value.
+M0_PRINTED_TOL = "5e-4"
+
+
+def _verdict(ok) -> str:
+    return "PASS" if ok else "FAIL"
 
 
 class LQuery(Record):
@@ -387,10 +404,7 @@ class IdentityReport(Record):
     m: int
     a: int
     s: int
-    cutoff: int
-    partial_sum: object
-    tail_estimate: object
-    rigorous: bool
+    result: LResult  # the sum, its tail and rounding bounds; its cutoff is result.terms_used
     lhs: int  # tau(m), exact
     rhs: object
     rel_err: object
@@ -398,17 +412,16 @@ class IdentityReport(Record):
     verdict: str
 
     def row(self) -> dict:
-        from .arith import mpf_str
-
+        res = self.result
         return {
             "identity_id": self.identity_id,
             "m": self.m,
             "a": self.a,
             "s": self.s,
-            "cutoff": self.cutoff,
-            "partial_sum": mpf_str(self.partial_sum),
-            "tail_estimate": mpf_str(self.tail_estimate),
-            "rigorous": self.rigorous,
+            "cutoff": res.terms_used,
+            "partial_sum": mpf_str(res.partial_sum),
+            "tail_estimate": mpf_str(res.tail_estimate),
+            "rigorous": res.rigorous,
             "lhs": self.lhs,
             "rel_err": mpf_str(self.rel_err, 6),
             "verdict": self.verdict,
@@ -454,26 +467,8 @@ def verify_sweep(
         with mp.workprec(prec_bits):
             rhs = mp.mpf(int(pref.numerator)) / mp.mpf(int(pref.denominator)) * res.partial_sum
             rel = abs(mp.mpf(tau_m) - rhs) / abs(mp.mpf(tau_m))
-            ok = rel <= tol
-            if res.rigorous and not res.tail_estimate < tol * abs(mp.mpf(tau_m)):
-                ok = False
-        reports.append(
-            IdentityReport(
-                identity_id=entry.ident,
-                m=m,
-                a=entry.a,
-                s=entry.s,
-                cutoff=top.cutoff,
-                partial_sum=res.partial_sum,
-                tail_estimate=res.tail_estimate,
-                rigorous=res.rigorous,
-                lhs=tau_m,
-                rhs=rhs,
-                rel_err=rel,
-                tol=tol,
-                verdict="PASS" if ok else "FAIL",
-            )
-        )
+            ok = rel <= tol and (not res.rigorous or res.tail_estimate < tol * abs(mp.mpf(tau_m)))
+        reports.append(IdentityReport(entry.ident, m, entry.a, entry.s, res, tau_m, rhs, rel, tol, _verdict(ok)))
     return reports
 
 
@@ -490,6 +485,19 @@ class M0Value(Record):
     predicted: object  # constant * pi^11 * PETERSSON_REF
     printed: str  # three-decimal reference value
     err_round: object  # mpf, rigorous bound on |numeric - exact sum over n <= cutoff|
+    verdict: str  # PASS when numeric is within M0_PRINTED_TOL of printed
+
+    def row(self) -> dict:
+        return {
+            "a": self.a,
+            "s": self.s,
+            "cutoff": self.cutoff,
+            "numeric": mpf_str(self.numeric, 15),
+            "predicted": mpf_str(self.predicted, 15),
+            "constant": rat_str(self.constant),
+            "printed": self.printed,
+            "verdict": self.verdict,
+        }
 
 
 def _pi11(prec: int):
@@ -504,7 +512,7 @@ def lvalue_m0(a: int, s: int, cutoff: int | None = None, prec_bits: int = DEFAUL
     """Numeric sum tau(n) sigma_a(n) / n^s, with its rounding bound, against its closed-form prediction."""
     cutoff = LQuery(0, a, s, cutoff, prec_bits).cutoff
     acc, err_round, _ = _fixed_sum(a, s, 0, cutoff, prec_bits)
-    const = M0_CONSTANTS[(a, s)]
+    const, printed = M0_CONSTANTS[(a, s)], M0_PRINTED[(a, s)]
     with mp.workprec(prec_bits):
         predicted = (
             mp.mpf(int(const.numerator))
@@ -512,7 +520,8 @@ def lvalue_m0(a: int, s: int, cutoff: int | None = None, prec_bits: int = DEFAUL
             * _pi11(prec_bits)
             * mp.mpf(PETERSSON_REF)
         )
-    return M0Value(a, s, cutoff, acc, const, predicted, M0_PRINTED[(a, s)], err_round)
+        ok = abs(acc - mp.mpf(printed)) < mp.mpf(M0_PRINTED_TOL)
+    return M0Value(a, s, cutoff, acc, const, predicted, printed, err_round, _verdict(ok))
 
 
 def lvalues_m0(cutoff: int | None = None, prec_bits: int = DEFAULT_PREC_BITS) -> list[M0Value]:
@@ -532,13 +541,26 @@ class PeterssonEstimate(Record):
     s: int
     estimate: object  # numeric / (constant * pi^11)
     rel_dev_from_ref: object
+    verdict: str  # PASS when rel_dev_from_ref is below PETERSSON_TOL[s]
+
+    def row(self) -> dict:
+        return {
+            "a": self.a,
+            "s": self.s,
+            "estimate": mpf_str(self.estimate, 13),
+            "rel_dev_from_ref": mpf_str(self.rel_dev_from_ref, 6),
+        }
 
 
 class PeterssonReport(Record):
     estimates: tuple[PeterssonEstimate, ...]
-    max_pairwise_high: object  # among s >= 10 entries
-    max_pairwise_low: object  # among s in {8, 9} entries vs all
+    max_pairwise_high: object  # among the s >= 10 entries
+    max_pairwise_low: object  # among all entries
     reference: str
+    verdict: str  # PASS when every estimate passes and the s >= 10 entries agree within PETERSSON_TOL[10]
+
+    def row(self) -> dict:
+        return {"reference": self.reference, "estimates": [e.row() for e in self.estimates]}
 
 
 def petersson_recover(prec_bits: int = DEFAULT_PREC_BITS) -> PeterssonReport:
@@ -550,12 +572,14 @@ def petersson_recover(prec_bits: int = DEFAULT_PREC_BITS) -> PeterssonReport:
         for val in lvalues_m0(prec_bits=prec_bits):
             const = val.constant
             est = val.numeric / (mp.mpf(int(const.numerator)) / mp.mpf(int(const.denominator)) * pi11)
-            ests.append(PeterssonEstimate(val.a, val.s, est, abs(est - ref) / ref))
+            dev = abs(est - ref) / ref
+            ests.append(PeterssonEstimate(val.a, val.s, est, dev, _verdict(dev < mp.mpf(PETERSSON_TOL[val.s]))))
         high = [e.estimate for e in ests if e.s >= 10]
         low = [e.estimate for e in ests]
         max_high = max(abs(x - y) / abs(x) for x in high for y in high)
         max_low = max(abs(x - y) / abs(x) for x in low for y in low)
-    return PeterssonReport(tuple(ests), max_high, max_low, PETERSSON_REF)
+        ok = max_high < mp.mpf(PETERSSON_TOL[10]) and all(e.verdict == "PASS" for e in ests)
+    return PeterssonReport(tuple(ests), max_high, max_low, PETERSSON_REF, _verdict(ok))
 
 
 # ---------------------------------------------------------------------------

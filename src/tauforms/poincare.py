@@ -196,9 +196,8 @@ def reduce_weight12(p: FormalPoincare, m_shift: int | None = None):
     for j in range(m_shift):
         if p.seed[j] != 0:
             raise ValueError(f"seed has a nonzero coefficient below the base index (q^{j})")
-    num = p.seed.num[m_shift:]
-    g = gcd(p.seed.den, *num)
-    return TauRelation(m_shift, tuple(x // g for x in num), p.seed.den // g, origin=p.origin)
+    # The seed is in lowest terms and its prefix is zero, so num and den share no factor.
+    return TauRelation(m_shift, p.seed.num[m_shift:], p.seed.den, origin=p.origin)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from tauforms.calculus import (
     serre_recursive,
     serre_seed,
 )
-from tauforms.forms import Form, delta, e2, eisenstein, in_basis, sigma
+from tauforms.forms import Form, delta, e2, eisenstein, in_basis, one, sigma
 from tauforms.qseries import QSeries
 
 PREC = 100
@@ -23,8 +23,10 @@ def E(k, prec=PREC):
 
 
 def test_bracket_order_zero_is_product():
-    f, g = E(4), E(6)
-    assert rankin_cohen(f, g, 0).series == (f * g).series
+    # Weight-0 operands included: C(k+n-1, n-j) at k = n = 0 is C(-1, 0) = 1.
+    c = one(PREC)
+    for f, g in ((E(4), E(6)), (c, E(4)), (E(6), c.scale(3)), (c.scale(2), c.scale(3))):
+        assert rankin_cohen(f, g, 0).series == (f * g).series
 
 
 def test_bracket_e4_e6_is_discriminant_multiple():
@@ -140,6 +142,7 @@ def test_bracket_and_serre_outputs_are_modular():
 def test_rc_seed_order_zero_is_shift():
     f = E(4, 30)
     assert rc_seed(f, 8, 5, 0) == f.series.shift(5)
+    assert rc_seed(one(8), 4, 3, 0) == one(8).series.shift(3)
 
 
 def test_rc_seed_index_zero_collapses():

@@ -141,15 +141,6 @@ _CANDIDATE = st.recursive(
 )
 
 
-def _subtrees(node):
-    yield node
-    for child in (getattr(node, "operand", None), getattr(node, "left", None), getattr(node, "right", None)):
-        if child is not None:
-            yield from _subtrees(child)
-    for arg in getattr(node, "args", ()):
-        yield from _subtrees(arg)
-
-
 @given(text=_CANDIDATE, prec=st.integers(2, 12))
 def test_static_weight_is_the_built_forms_weight(text, prec):
     # expand prints its [weight ...] tag from the built form; this is why it may.
@@ -158,12 +149,6 @@ def test_static_weight_is_the_built_forms_weight(text, prec):
         info = expr.annotate(node)
     except expr.ExprError:
         assume(False)
-    if any(expr.annotate(sub) == expr.WeightInfo(2, False) for sub in _subtrees(node)):
-        # RC or Serre of constants somewhere: the static check passes, and Form
-        # refuses a weight-2 form without E2 content.
-        with pytest.raises(ValueError, match="weight 2 carries no modular forms"):
-            expr.evaluate(node, prec)
-        return
     form = expr.evaluate(node, prec)
     assert info == expr.WeightInfo(form.weight, form.quasimodular)
 
@@ -174,6 +159,9 @@ def test_static_weight_is_the_built_forms_weight(text, prec):
         ("RC(E4, E6, 1) + E4", "weight mismatch 12 vs 4"),
         ("Serre(E10, 1) * RC(E2, E4, 1)", "RC requires modular operands"),
         ("Ppoly(12, RC(E4, E6, 1) * E4)", "too small for a weight-16 seed"),
+        ("Serre(1, 1)", "Serre of constants has weight 2"),
+        ("RC(1, 1, 1)", "RC of constants has weight 2"),
+        ("D(D(Serre(0, 1)))", "Serre of constants has weight 2"),
     ],
 )
 def test_an_ill_typed_expression_makes_no_series(text, message, fresh_tables, products):
@@ -374,6 +362,27 @@ def test_cli_petersson_json_prints_only_json(capsys, monkeypatch):
     payload = json.loads(capsys.readouterr().out)
     assert payload["reference"] == lseries.PETERSSON_REF
     assert [(e["a"], e["s"]) for e in payload["estimates"]] == list(lseries.M0_CONSTANTS)
+
+
+@pytest.mark.parametrize("prec_bits", [256, 16])
+def test_cli_numeric_verdicts_are_the_library_verdicts(prec_bits, capsys, monkeypatch):
+    # The CLI prints each report's verdict and exits by them; it decides none.
+    # Small tier cutoffs make petersson FAIL some s >= 10 estimates at both
+    # precisions, and a cutoff of 20 makes lvalues FAIL two of its six sums.
+    monkeypatch.setattr(lseries, "TIERS", {11: (100, 0.0), 10: (1000, 0.0), 9: (1000, 0.0), 8: (3000, 0.0)})
+    monkeypatch.delenv("TAUFORMS_PREC_BITS", raising=False)
+    bits = ["--prec-bits", str(prec_bits)]
+    for cutoff in (None, 20):
+        values = lseries.lvalues_m0(cutoff, prec_bits)
+        code = main(["lvalues", *bits, *(["--cutoff", str(cutoff)] if cutoff else [])])
+        words = [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
+        assert words == [v.verdict for v in values]
+        assert code == (0 if words == ["PASS"] * 6 else 1)
+    report = lseries.petersson_recover(prec_bits)
+    code = main(["petersson", *bits])
+    words = [line.split()[-1] for line in capsys.readouterr().out.splitlines()[:6]]
+    assert words == [e.verdict for e in report.estimates] and "FAIL" in words
+    assert report.verdict == "FAIL" and code == 1
 
 
 def _verify_tau(m_from, m_to, *extra):

@@ -164,7 +164,7 @@ def test_verify_identity_rigor_gate():
     # within tolerance but the certified tail cannot support the claim
     rep = verify_identity("herrero", 1, tol=1e-3, cutoff=500)
     assert float(rep.rel_err) < 1e-3
-    assert rep.rigorous and rep.verdict == "FAIL"
+    assert rep.result.rigorous and rep.verdict == "FAIL"
 
 
 def test_verify_identity_kumar_tier_passes():

@@ -58,10 +58,7 @@ CASES = [
             "m": 1,
             "a": 1,
             "s": 11,
-            "cutoff": 100,
-            "partial_sum": mpf(1),
-            "tail_estimate": mpf(2),
-            "rigorous": False,
+            "result": LResult(mpf(1), mpf(2), False, 100, mpf(3)),
             "lhs": 1,
             "rhs": mpf(1),
             "rel_err": mpf(0),
@@ -70,9 +67,9 @@ CASES = [
         },
         {},
         {"verdict": "FAIL"},
-        "IdentityReport(identity_id='kumar', m=1, a=1, s=11, cutoff=100, partial_sum=mpf('1.0'), "
-        "tail_estimate=mpf('2.0'), rigorous=False, lhs=1, rhs=mpf('1.0'), rel_err=mpf('0.0'), "
-        "tol=1e-10, verdict='PASS')",
+        "IdentityReport(identity_id='kumar', m=1, a=1, s=11, result=LResult(partial_sum=mpf('1.0'), "
+        "tail_estimate=mpf('2.0'), rigorous=False, terms_used=100, err_round=mpf('3.0')), lhs=1, rhs=mpf('1.0'), "
+        "rel_err=mpf('0.0'), tol=1e-10, verdict='PASS')",
     ),
     (
         M0Value,
@@ -85,31 +82,33 @@ CASES = [
             "predicted": mpf(1),
             "printed": "0.880",
             "err_round": mpf(2),
+            "verdict": "PASS",
         },
         {},
         {"printed": "0.754"},
         "M0Value(a=1, s=11, cutoff=100, numeric=mpf('1.0'), constant=Fraction(1, 2), "
-        "predicted=mpf('1.0'), printed='0.880', err_round=mpf('2.0'))",
+        "predicted=mpf('1.0'), printed='0.880', err_round=mpf('2.0'), verdict='PASS')",
     ),
     (
         PeterssonEstimate,
-        {"a": 1, "s": 11, "estimate": mpf(1), "rel_dev_from_ref": mpf(0)},
+        {"a": 1, "s": 11, "estimate": mpf(1), "rel_dev_from_ref": mpf(0), "verdict": "PASS"},
         {},
         {"s": 10},
-        "PeterssonEstimate(a=1, s=11, estimate=mpf('1.0'), rel_dev_from_ref=mpf('0.0'))",
+        "PeterssonEstimate(a=1, s=11, estimate=mpf('1.0'), rel_dev_from_ref=mpf('0.0'), verdict='PASS')",
     ),
     (
         PeterssonReport,
         {
-            "estimates": (PeterssonEstimate(1, 11, 1, 0),),
+            "estimates": (PeterssonEstimate(1, 11, 1, 0, "PASS"),),
             "max_pairwise_high": 0,
             "max_pairwise_low": 0,
             "reference": "1e-6",
+            "verdict": "PASS",
         },
         {},
         {"reference": "2e-6"},
-        "PeterssonReport(estimates=(PeterssonEstimate(a=1, s=11, estimate=1, rel_dev_from_ref=0),), "
-        "max_pairwise_high=0, max_pairwise_low=0, reference='1e-6')",
+        "PeterssonReport(estimates=(PeterssonEstimate(a=1, s=11, estimate=1, rel_dev_from_ref=0, verdict='PASS'),), "
+        "max_pairwise_high=0, max_pairwise_low=0, reference='1e-6', verdict='PASS')",
     ),
     (
         ExactIdentity,
