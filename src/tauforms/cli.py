@@ -19,8 +19,12 @@ cannot be written (refused before any work), or a ``TAUFORMS_PREC_BITS``
 that is not an integer >= 16.  ``TAUFORMS_PREC_BITS`` overrides the default
 256-bit float precision.
 
-``json`` and ``csv`` are imported only in the branches that write them, so
-that a command printing text does not pay for loading them.
+Every command but ``selftest`` (which prints each check as it ends) formats
+its whole output before printing it, so a command that fails leaves stdout
+empty.  The subcommands are one table, ``COMMANDS``; ``build_parser`` builds
+the full parser from it, and a call that names its subcommand builds that
+subparser alone.  ``json`` and ``csv`` are imported only in the branches
+that write them, so that a command printing text does not pay for loading them.
 """
 
 from __future__ import annotations
@@ -103,11 +107,11 @@ def cmd_expand(args) -> int:
         payload = json.loads(form.series.to_json())
         payload["weight"] = form.weight
         payload["quasimodular"] = form.quasimodular
-        print(json.dumps(payload))
+        text = json.dumps(payload)
     else:
-        print(f"# {expr_mod.to_text(node)}  [{expr_mod.WeightInfo(form.weight, form.quasimodular)}]")
-        for n, c in enumerate(form.series.coeffs):
-            print(f"q^{n}: {rat_str(c)}")
+        head = f"# {expr_mod.to_text(node)}  [{expr_mod.WeightInfo(form.weight, form.quasimodular)}]"
+        text = "\n".join([head, *(f"q^{n}: {rat_str(c)}" for n, c in enumerate(form.series.coeffs))])
+    print(text)  # formatted whole first, so a failure leaves stdout empty
     return EXIT_PASS
 
 
@@ -119,11 +123,11 @@ def cmd_basis(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     if args.json:
-        print(coords.to_json())
+        text = coords.to_json()
     else:
-        print(f"# weight {coords.weight}")
-        for (a, b), c in coords.coords:
-            print(f"E4^{a} * E6^{b}: {rat_str(c)}")
+        lines = [f"E4^{a} * E6^{b}: {rat_str(c)}" for (a, b), c in coords.coords]
+        text = "\n".join([f"# weight {coords.weight}", *lines])
+    print(text)
     return EXIT_PASS
 
 
@@ -243,61 +247,66 @@ def cmd_selftest(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*names: str, **kwargs) -> tuple:
+    """The arguments of one ``add_argument`` call."""
+    return names, kwargs
+
+
+_JSON = _arg("--json", action="store_true")
+_EXPR = (_arg("expr"), _arg("--prec", type=int, default=64), _JSON)
+_PREC_BITS = _arg("--prec-bits", type=int, default=None)
+_CUTOFF = _arg("--cutoff", type=int, default=None, help="summation cutoff (default: tier)")
+_CSV = _arg("--csv", metavar="PATH")
+
+# The subcommands: name, help, arguments and handler, in the order of the usage line.
+COMMANDS = (
+    ("expand", "exact q-expansion of an expression", _EXPR, cmd_expand),
+    ("basis", "decompose an expression over E4^a E6^b", _EXPR, cmd_basis),
+    (
+        "verify-tau",
+        "verify a tau identity numerically",
+        (
+            _arg("--id", required=True, choices=[e.ident for e in identity_catalog()]),
+            _arg("--m-from", type=int, required=True),
+            _arg("--m-to", type=int, required=True),
+            _arg("--tol", type=float, default=None, help="relative tolerance (default: tier)"),
+            _CUTOFF,
+            _PREC_BITS,
+            _JSON,
+            _CSV,
+        ),
+        cmd_verify_tau,
+    ),
+    ("lvalues", "the six m = 0 L-values", (_CUTOFF, _PREC_BITS, _JSON, _CSV), cmd_lvalues),
+    ("petersson", "recover the Petersson norm six ways", (_PREC_BITS, _JSON), cmd_petersson),
+    ("tau", "print tau(N)", (_arg("n", type=int, metavar="N"),), cmd_tau),
+    ("selftest", "exact identity suite", (_arg("--prec", type=int, default=200),), cmd_selftest),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone; each subparser is
+    the same either way, with its prog ``tauforms <command>``."""
     parser = _ArgumentParser(
         prog="tauforms",
         description="Exact modular-form calculus and Ramanujan tau identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="exact q-expansion of an expression")
-    p.add_argument("expr")
-    p.add_argument("--prec", type=int, default=64)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("basis", help="decompose an expression over E4^a E6^b")
-    p.add_argument("expr")
-    p.add_argument("--prec", type=int, default=64)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("verify-tau", help="verify a tau identity numerically")
-    p.add_argument("--id", required=True, choices=[e.ident for e in identity_catalog()])
-    p.add_argument("--m-from", type=int, required=True)
-    p.add_argument("--m-to", type=int, required=True)
-    p.add_argument("--tol", type=float, default=None, help="relative tolerance (default: tier)")
-    p.add_argument("--cutoff", type=int, default=None, help="summation cutoff (default: tier)")
-    p.add_argument("--prec-bits", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", metavar="PATH")
-    p.set_defaults(func=cmd_verify_tau)
-
-    p = sub.add_parser("lvalues", help="the six m = 0 L-values")
-    p.add_argument("--cutoff", type=int, default=None, help="summation cutoff (default: tier)")
-    p.add_argument("--prec-bits", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", metavar="PATH")
-    p.set_defaults(func=cmd_lvalues)
-
-    p = sub.add_parser("petersson", help="recover the Petersson norm six ways")
-    p.add_argument("--prec-bits", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_petersson)
-
-    p = sub.add_parser("tau", help="print tau(N)")
-    p.add_argument("n", type=int, metavar="N")
-    p.set_defaults(func=cmd_tau)
-
-    p = sub.add_parser("selftest", help="exact identity suite")
-    p.add_argument("--prec", type=int, default=200)
-    p.set_defaults(func=cmd_selftest)
-
+    for name, help_, arguments, handler in COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_)
+            for names, kwargs in arguments:
+                p.add_argument(*names, **kwargs)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A call that names its subcommand builds that subparser alone; -h, no
+    # command and an unknown one take the full parser, which lists them all.
+    command = argv[0] if argv and argv[0] in {c[0] for c in COMMANDS} else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .arith import ZERO, InconsistentSystem, Rat, Record, as_rat, bernoulli, rat_str, solve_exact
-from .qseries import QSeries, check_prec
+from .qseries import QSeries, check_prec, linear_combination
 
 def sigma(a: int, n: int) -> int:
     """Divisor power sum over d | n."""
@@ -155,9 +155,23 @@ def e2(prec: int) -> Form:
 
 def _e2_power(r: int, prec: int) -> QSeries:
     """E2^r; E2 and each power r >= 2 are store entries, E2^r made as E2^(r-1) E2."""
-    if r < 2:
-        return e2(prec).series if r else QSeries.one(prec)
-    return _series(("E2", r), prec, lambda p: _e2_power(r - 1, p) * e2(p).series)
+    if r == 0:
+        return QSeries.one(prec)
+    return _chain([(("E2", j), 2) for j in range(r, 1, -1)], 2, prec)
+
+
+def _e_series(k: int, prec: int) -> QSeries:
+    """The stored series E_k, E2 for k = 2."""
+    return (e2(prec) if k == 2 else eisenstein(k, prec)).series
+
+
+def sigma_from_eisenstein(a: int, nmax: int) -> list[int]:
+    """[0, sigma_a(1), ..., sigma_a(nmax)] for odd a >= 1, read from the stored
+    E_{a+1} (E2 for a = 1), whose q^n coefficient is sigma_a(n) times its q^1
+    coefficient; no sieve runs when that series is already long enough."""
+    series = _e_series(a + 1, max(nmax, 1) + 1)
+    c = series.num[1]
+    return [0] + [x // c for x in series.num[1 : nmax + 1]]
 
 
 def one(prec: int) -> Form:
@@ -191,21 +205,27 @@ _tables_lock = threading.RLock()
 _tables: dict[object, np.ndarray | QSeries] = {}
 
 
-def _table(key, nmax: int, build):
-    """The table ``key`` up to at least index nmax, from ``build(n)`` when too short.
+def _grow(key, nmax: int) -> int | None:
+    """None when the stored table ``key`` reaches index nmax, else the index its build reaches.
 
     The first build is exact; a rebuild takes at least 1.5x the old length
     (within the kernel's limit), so a loop over growing nmax builds O(log)
-    tables rather than one per step.
+    tables rather than one per step.  Called under the lock.
     """
+    table = _tables.get(key)
+    size = 0 if table is None else table.prec if isinstance(table, QSeries) else table.shape[-1]
+    return None if size > nmax else max(nmax, min(size * 3 // 2, _kernels._MAX_PREC))
+
+
+def _table(key, nmax: int, build):
+    """The table ``key`` up to at least index nmax, from ``build(n)`` when too short (see ``_grow``)."""
     if nmax < 0:
         raise ValueError(f"table size must be >= 0, got {nmax}")
     with _tables_lock:
-        table = _tables.get(key)
-        size = 0 if table is None else table.prec if isinstance(table, QSeries) else table.shape[-1]
-        if size <= nmax:
-            table = _tables[key] = build(max(nmax, min(size * 3 // 2, _kernels._MAX_PREC)))
-        return table
+        n = _grow(key, nmax)
+        if n is not None:
+            _tables[key] = build(n)
+        return _tables[key]
 
 
 def _series(key, prec: int, build) -> QSeries:
@@ -214,6 +234,31 @@ def _series(key, prec: int, build) -> QSeries:
     check_prec(prec)
     stored = _table(key, prec - 1, lambda n: build(min(n + 1, _kernels._MAX_PREC)))
     return stored if stored.prec == prec else stored.truncate(prec)
+
+
+def _chain(links, base: int, prec: int) -> QSeries:
+    """The top of a chain of stored products to prec coefficients.
+
+    ``links`` lists (key, k) from the top down: the entry ``key`` is the entry
+    below it (E_base under the last link) times E_k (``_e_series``), made
+    at the length p that ``_grow`` gives it.  The walk down stops at the first
+    entry that is long enough, and the entries above it are built bottom-up,
+    so the call depth does not grow with the chain's length.  Each entry is
+    made as ``_series`` would make it, one product of its neighbour.
+    """
+    check_prec(prec)
+    with _tables_lock:
+        lengths, need = [], prec
+        for key, _ in links:
+            n = _grow(key, need - 1)
+            if n is None:
+                break
+            need = min(n + 1, _kernels._MAX_PREC)
+            lengths.append(need)
+        series = _tables[links[len(lengths)][0]] if len(lengths) < len(links) else _e_series(base, need)
+        for (key, k), p in reversed(list(zip(links, lengths))):
+            series = _tables[key] = series * _e_series(k, p)
+    return series if series.prec == prec else series.truncate(prec)
 
 
 def tau_words(nmax: int) -> np.ndarray:
@@ -269,10 +314,8 @@ def mk_basis(k: int, prec: int) -> tuple[Form, ...]:
 def _monomial(a: int, b: int, prec: int) -> QSeries:
     """E4^a E6^b for a + b >= 1; E4, E6 and each monomial of degree >= 2 are store
     entries, the latter made as E4^a E6^(b-1) E6, or E4^(a-1) E4 when b = 0."""
-    if a + b == 1:
-        return eisenstein(4 if a else 6, prec).series
-    lower, k = ((a, b - 1), 6) if b else ((a - 1, 0), 4)
-    return _series(("E4^a E6^b", a, b), prec, lambda p: _monomial(*lower, p) * eisenstein(k, p).series)
+    chain = [(a, y) for y in range(b, 0, -1)] + [(x, 0) for x in range(a, 0, -1)]
+    return _chain([(("E4^a E6^b", x, y), 6 if y else 4) for x, y in chain[:-1]], 4 if a else 6, prec)
 
 
 class BasisCoords(Record):
@@ -288,13 +331,10 @@ class BasisCoords(Record):
         return ZERO
 
     def reconstruct(self, prec: int) -> Form:
-        total = None
-        for (_, c), m in zip(self.coords, mk_basis(self.weight, prec)):
-            term = m.scale(c)
-            total = term if total is None else total + term
-        if total is None:
+        if not self.coords:
             raise ValueError("empty coordinate list")
-        return Form(self.weight, total.series)
+        terms = [(c, m.series) for (_, c), m in zip(self.coords, mk_basis(self.weight, prec))]
+        return Form(self.weight, linear_combination(terms, lambda s: s, prec))
 
     def to_json(self) -> str:
         import json

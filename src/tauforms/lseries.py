@@ -60,7 +60,7 @@ from .arith import DEFAULT_PREC_BITS, Rat, Record, mpf_str, rat_str, solve_exact
 from .calculus import rankin_cohen, serre
 from .forms import Form, _monomial, _table, _tables_lock, e12_delta_coords, eisenstein, tau, tau_words
 from .poincare import CONSTRUCTIONS, TauIdentity, catalog_identity, construction_seed
-from .qseries import linear_combination
+from .qseries import QSeries, linear_combination
 from . import _kernels, forms
 
 # Cutoffs and relative tolerances by exponent s.  These are fixed policy:
@@ -600,26 +600,28 @@ def exact_lhs_catalog(prec: int = 200) -> list[ExactIdentity]:
     P_{l,0} = E_l: ("serre", r) is ``serre(E_l, r)`` and ("rc", k, n) is
     ``rankin_cohen(E_k, E_l, n)``.  Each bracket is made once per unordered
     pair, with [g, f]_n = (-1)^n [f, g]_n, and an order-0 bracket of E4 and
-    E6 is read from the store as E4^a E6^b.  The decomposition is certified coefficientwise by ``in_basis``;
-    a nonzero residual raises.
+    E6 is read from the store as E4^a E6^b.  A row's terms are summed as
+    series, and the sum is the weight-12 form.  The decomposition is certified
+    coefficientwise by ``in_basis``; a nonzero residual raises.
     """
     brackets = {}
 
-    def bracket(k: int, l: int, n: int) -> Form:
+    def bracket(k: int, l: int, n: int) -> QSeries:
         if n == 0 and {k, l} <= {4, 6}:
-            return Form(k + l, _monomial((k == 4) + (l == 4), (k == 6) + (l == 6), prec))
+            return _monomial((k == 4) + (l == 4), (k == 6) + (l == 6), prec)
         lo, hi = sorted((k, l))
         if (lo, hi, n) not in brackets:
-            brackets[lo, hi, n] = rankin_cohen(eisenstein(lo, prec), eisenstein(hi, prec), n)
-        form = brackets[lo, hi, n]
-        return form.scale(-1) if k > l and n % 2 else form
+            brackets[lo, hi, n] = rankin_cohen(eisenstein(lo, prec), eisenstein(hi, prec), n).series
+        series = brackets[lo, hi, n]
+        return -series if k > l and n % 2 else series
 
     entries = []
     for c in CONSTRUCTIONS:
         e_l = eisenstein(c.weight, prec)
-        lhs = linear_combination(
-            c.terms, lambda op: serre(e_l, op[1]) if op[0] == "serre" else bracket(op[1], c.weight, op[2]), prec
+        series = linear_combination(
+            c.terms, lambda op: serre(e_l, op[1]).series if op[0] == "serre" else bracket(op[1], c.weight, op[2]), prec
         )
+        lhs = Form(12, series)
         entries.append(ExactIdentity(c.label, lhs, *e12_delta_coords(lhs)))
     return entries
 
@@ -634,12 +636,10 @@ def derive_m0_constants(prec: int = 201) -> dict[tuple[int, int], Rat]:
     six L-values, measured in units of R = (4 pi)^11 <Delta, Delta> / 10!.
     The solution, rescaled by 4^11/10!, must reproduce ``M0_CONSTANTS``.
     """
-    from .forms import sigma_sieve
-
     nmax = prec - 1
     monomial_cols = []
     for a, s in M0_CONSTANTS:
-        sig = sigma_sieve(a, nmax)
+        sig = forms.sigma_from_eisenstein(a, nmax)
         monomial_cols.append([Rat(n ** (11 - s) * sig[n]) for n in range(1, nmax + 1)])
     equations = []  # rows of (coefficients over the six unknowns, rhs in units of R)
     for c, entry in zip(CONSTRUCTIONS, exact_lhs_catalog(prec)):

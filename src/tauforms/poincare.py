@@ -27,7 +27,7 @@ from math import gcd
 
 from .arith import ZERO, Rat, Record, as_rat, rat_str, solve_exact
 from .calculus import _rc_seed_series, _serre_seed_series
-from .forms import Form, dim_sk, eisenstein, sigma_sieve
+from .forms import Form, dim_sk, eisenstein, sigma_from_eisenstein
 from .qseries import QSeries, linear_combination
 
 
@@ -332,10 +332,12 @@ def catalog_identity(ident: str) -> TauIdentity:
 
 def identity_relation(entry: TauIdentity, m: int, cutoff: int) -> TauRelation:
     """The identity rewritten as 0 = sum_n c_n P_{12,m+n}: c_0 = m^11 and
-    c_n = -prefactor(m) sigma_a(n) (m+n)^{11-s}, as integers over one denominator."""
+    c_n = -prefactor(m) sigma_a(n) (m+n)^{11-s}, as integers over one denominator.
+    sigma_a is read from the stored E_{a+1}, which the construction seeds of the
+    same (m, cutoff) build to cutoff + 1 coefficients."""
     pref = entry.prefactor(m)
     p, q = -pref.numerator, pref.denominator
-    sig = sigma_sieve(entry.a, cutoff)
+    sig = sigma_from_eisenstein(entry.a, cutoff)
     e = 11 - entry.s
     num = (m**11 * q, *(p * sig[n] * (m + n) ** e for n in range(1, cutoff + 1)))
     g = gcd(q, *num)

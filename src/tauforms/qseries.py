@@ -188,19 +188,23 @@ class QSeries:
         return cls(coeffs)
 
 
-def linear_combination(terms, value, prec: int):
-    """sum_t c_t value(x_t) over the pairs (c_t, x_t) of ``terms``.
+def linear_combination(terms, value, prec: int) -> QSeries:
+    """sum_t c_t value(x_t) over the pairs (c_t, x_t) of ``terms``, to the shortest value's length.
 
-    A term with c_t = 0 is skipped before ``value`` is called, only a term with
-    c_t != 1 is scaled, and the sum starts from the first term left; when no
-    term is left it is the zero series to ``prec``.
+    A term with c_t = 0 is skipped before ``value`` is called; when no term is
+    left the sum is the zero series to ``prec``.  Each kept term's numerators
+    are scaled onto the lcm of the terms' denominators and summed, so the sum
+    is brought to lowest terms once.
     """
+    kept = [(as_rat(c), value(x)) for c, x in terms if c]
+    if not kept:
+        return QSeries.zero(prec)
+    den = lcm(*(c.denominator * s.den for c, s in kept))
     total = None
-    for c, x in terms:
-        if c:
-            term = value(x) if c == 1 else value(x).scale(c)
-            total = term if total is None else total + term
-    return QSeries.zero(prec) if total is None else total
+    for c, s in kept:
+        f = c.numerator * (den // (c.denominator * s.den))
+        total = [f * x for x in s.num] if total is None else [t + f * x for t, x in zip(total, s.num)]
+    return QSeries._from_ints(total, den)
 
 
 def _kronecker_product(va, vb) -> list[int]:

@@ -1,3 +1,5 @@
+import contextlib
+import inspect
 import json
 import math
 import os
@@ -10,8 +12,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import tauforms
-from tauforms import _kernels, expr, forms, lseries
-from tauforms.arith import Rat
+from tauforms import _kernels, cli, expr, forms, lseries
+from tauforms.arith import Rat, rat_str
+from tauforms.calculus import serre_recursive
 from tauforms.cli import main
 from tauforms.forms import delta, eisenstein
 
@@ -491,12 +494,129 @@ def test_cli_expression_read_as_option_names_the_dashdash_form(argv, capsys):
     assert capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["expand", "-h"]])
+_COMMAND_NAMES = [name for name, *_ in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("argv", [["-h"], *([name, "-h"] for name in _COMMAND_NAMES)])
 def test_cli_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: tauforms")
+    assert capsys.readouterr().out.startswith(f"usage: tauforms {argv[0] if len(argv) > 1 else ''}")
+
+
+_VERIFY = ["verify-tau", "--id", "kumar", "--m-from", "1", "--m-to", "2"]
+# Per subcommand: defaults, every flag, "--" before an expression that begins
+# with "-", a bad --id, a missing required argument, an unknown option.
+_PARSER_CORPUS = {
+    "expand": [
+        ["E4"], ["E4*E6", "--prec", "7", "--json"], ["--prec", "5", "--", "-E4"], ["-E4"], [],
+        ["E4", "--bogus"], ["E4", "--prec", "x"], ["E4", "--prec=9"], ["E4", "extra"],
+    ],
+    "basis": [
+        ["E4"], ["E4^3", "--prec", "20", "--json"], ["--", "-E4*E6"], ["--prec", "20", "-E4*E6"], [], ["E4", "-x"],
+    ],
+    "verify-tau": [
+        _VERIFY[1:],
+        [*_VERIFY[1:], "--tol", "1e-3", "--cutoff", "100", "--prec-bits", "64", "--json", "--csv", "out.csv"],
+        ["--id=herrero", "--m-from=3", "--m-to=4"],
+        ["--id", "nosuch", "--m-from", "1", "--m-to", "2"],
+        ["--m-from", "1", "--m-to", "2"],
+        ["--id", "kumar", "--m-from", "1"],
+        [*_VERIFY[1:], "--bogus"],
+        [*_VERIFY[1:], "--tol", "x"],
+        [*_VERIFY[1:], "--cutoff"],
+    ],
+    "lvalues": [[], ["--cutoff", "100", "--prec-bits", "64", "--json", "--csv", "out.csv"], ["--bogus"], ["--cutoff"]],
+    "petersson": [[], ["--prec-bits", "64", "--json"], ["--bogus"], ["--csv", "out.csv"]],
+    "tau": [["5"], ["--", "-5"], ["-5"], [], ["x"], ["5", "--bogus"], ["5", "6"]],
+    "selftest": [[], ["--prec", "50"], ["--prec"], ["--bogus"], ["extra"]],
+}
+
+
+def _parse(parser, argv, capsys):
+    try:
+        result = parser.parse_args(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, capsys.readouterr()
+
+
+def test_parser_corpus_covers_every_subcommand():
+    assert list(_PARSER_CORPUS) == _COMMAND_NAMES
+
+
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_one_subcommand_parser_agrees_with_the_full_parser(command, capsys):
+    for argv in [[command, *rest] for rest in _PARSER_CORPUS[command]] + [[command, "-h"]]:
+        alone = _parse(cli.build_parser(command), argv, capsys)
+        full = _parse(cli.build_parser(), argv, capsys)
+        assert alone == full, argv
+        if argv[-1] == "-h":
+            assert alone[0] == ("exit", 0) and alone[1].out.startswith(f"usage: tauforms {command}")
+
+
+@pytest.mark.parametrize(
+    ("argv", "built"),
+    [(["tau", "5"], "tau"), (["selftest", "-h"], "selftest"), (["-h"], None), (["nosuch"], None), ([], None)],
+)
+def test_cli_builds_the_parser_of_the_command_it_runs(argv, built, monkeypatch, capsys):
+    asked = []
+    real = cli.build_parser
+
+    def build_parser(command=None):
+        asked.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert asked == [built]
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="no limit on integer string conversion")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "D(E4,100000)", "--prec", "3"],  # q^2 has about 30000 digits
+        ["expand", "D(E4,100000)", "--prec", "3", "--json"],
+        ["basis", "10^4400 * E4", "--prec", "10"],
+        ["basis", "10^4400 * E4", "--prec", "10", "--json"],
+    ],
+)
+def test_cli_output_that_cannot_be_formatted_prints_nothing_on_stdout(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: Exceeds the limit")
+
+
+def test_cli_serre_derivative_of_high_order(fresh_tables, capsys):
+    # E2^200 is reached through 199 stored powers, built without nesting a call per power.
+    assert main(["expand", "Serre(E4,200)", "--prec", "3"]) == 0
+    want = serre_recursive(eisenstein(4, 3), 200)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"q^{n}: {rat_str(c)}" for n, c in enumerate(want.series.coeffs)]
+
+
+def test_cli_basis_of_a_long_monomial_chain(fresh_tables, capsys):
+    # `basis "E4^250" --prec 100` (weight 1000, a chain of 249 stored powers of
+    # E4) spends about 45 s in the exact solve.  Weight 240 makes a chain of 59,
+    # which a call nested per link would carry past a recursion limit set 150
+    # frames above this test's own depth.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 150)
+    try:
+        code = main(["basis", "E4^60", "--prec", "26"])
+    finally:
+        sys.setrecursionlimit(limit)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and lines[0] == "# weight 240" and lines[1] == "E4^60 * E6^0: 1"
+    assert all(line.endswith(": 0") for line in lines[2:])
 
 
 # Tokens of the expression grammar, with small integers only, so that a draw

@@ -16,6 +16,7 @@ from tauforms.forms import (
     mk_basis,
     one,
     sigma,
+    sigma_from_eisenstein,
     sigma_sieve,
     tau,
     tau_table,
@@ -41,6 +42,27 @@ def test_sigma_sieve_matches_trial_division(a):
     table = sigma_sieve(a, 2000)
     assert table[0] == 0
     assert table[1:] == [sigma(a, n) for n in range(1, 2001)]
+
+
+@pytest.mark.parametrize("a", [1, 3, 5, 7, 9, 11, 13])
+def test_sigma_from_eisenstein_matches_the_sieve(a, fresh_tables):
+    for nmax in (300, 0, 1, 2, 57):  # the first request builds E_{a+1}; the rest read it
+        assert sigma_from_eisenstein(a, nmax) == sigma_sieve(a, nmax), nmax
+
+
+def test_long_chains_of_powers_and_monomials_recurse_once(fresh_tables):
+    # Each power and monomial is one store entry, made from its neighbour.
+    # Chains of 240 to 300 links would pass the default recursion limit if each
+    # link nested its calls; they are built bottom-up.  Shorter entries stored
+    # first make the walk stop part-way, and the entries above are grown.
+    E2, E4, E6 = e2(9).series, eisenstein(4, 9).series, eisenstein(6, 9).series
+    for r, prec in ((40, 5), (300, 4), (300, 9), (7, 9)):
+        assert forms_mod._e2_power(r, prec) == (E2**r).truncate(prec), (r, prec)
+    for a, b, prec in ((3, 0, 6), (250, 0, 5), (250, 0, 9), (2, 240, 7), (0, 260, 3)):
+        assert forms_mod._monomial(a, b, prec) == (E4**a * E6**b).truncate(prec), (a, b, prec)
+    assert [m.series for m in mk_basis(1000, 4)] == [
+        (E4**a * E6**b).truncate(4) for a, b in forms_mod._monomial_exponents(1000)
+    ]
 
 
 def test_eisenstein_coefficients():

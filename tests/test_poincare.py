@@ -350,6 +350,26 @@ def test_derive_identities_deep():
             derive_identity(ident, m, cutoff=200)
 
 
+def test_derivations_sieve_no_sigma_twice(fresh_tables, monkeypatch):
+    # The identity streams read sigma_a from the E_{a+1} that the construction
+    # seeds of the same (m, cutoff) already built.  The sieve is wrapped under
+    # every module that binds it, so a caller that imports it by name counts too.
+    from tauforms import forms
+
+    sieves = []
+    real_sieve = forms.sigma_sieve
+
+    def sigma_sieve(a, nmax):
+        sieves.append((a, nmax))
+        return real_sieve(a, nmax)
+
+    for module in (forms, poincare):
+        monkeypatch.setattr(module, "sigma_sieve", sigma_sieve, raising=False)
+    for ident in ("kumar", "herrero", "s10sig1", "s10sig3", "s9sig1", "s8sig1"):
+        derive_identity(ident, 7, cutoff=300)
+    assert sieves and len(sieves) == len(set(sieves)), sieves
+
+
 def test_kumar_is_plain_rescaling():
     # the Kumar identity is the order-one relation times m^11/(m - 5/6)
     for m in range(1, 11):

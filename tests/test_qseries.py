@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tauforms import _kernels
 from tauforms.arith import Rat
 from tauforms.forms import delta_series, e2, eisenstein, sigma
-from tauforms.qseries import QSeries
+from tauforms.qseries import QSeries, linear_combination
 
 small_series = st.lists(
     st.builds(lambda n, d: Rat(n, d), st.integers(-50, 50), st.integers(1, 12)),
@@ -247,6 +247,41 @@ def test_operations_match_coefficientwise_fractions(f, g, c, j, up, cut, e):
         assert [got[i] for i in range(got.prec)] == want
         ref = QSeries(want)  # the same series, built from its coefficients
         assert got == ref and hash(got) == hash(ref)
+
+
+def _fold(terms, value, prec):
+    """The reference for ``linear_combination``: scale each term and add it to the sum so far."""
+    total = None
+    for c, x in terms:
+        if c:
+            term = value(x) if c == 1 else value(x).scale(c)
+            total = term if total is None else total + term
+    return QSeries.zero(prec) if total is None else total
+
+
+_lc_coeff = st.one_of(st.sampled_from([0, 1, -1, 2]), _coeff)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_lc_coeff, _runs_series), max_size=6), st.integers(1, 12))
+@example([(1, QSeries([Rat(2, 3), Rat(0), Rat(-5, 7)]))], 9)  # one term, c = 1
+@example([(0, QSeries([Rat(1, 2)] * 4)), (Rat(0), QSeries([Rat(3)] * 2))], 5)  # every coefficient zero
+@example([], 7)  # no term
+def test_linear_combination_equals_the_fold(pairs, prec):
+    called = []
+
+    def value(i):
+        called.append(i)
+        return pairs[i][1]
+
+    terms = [(c, i) for i, (c, _) in enumerate(pairs)]
+    got = linear_combination(terms, value, prec)
+    assert called == [i for c, i in terms if c]  # a zero coefficient's value is never made
+    want = _fold(terms, lambda i: pairs[i][1], prec)
+    _assert_canonical(got)
+    assert (got.num, got.den, got.prec) == (want.num, want.den, want.prec)
+    if not called:
+        assert got == QSeries.zero(prec)
 
 
 def test_equal_series_built_by_different_routes_hash_equal():
