@@ -23,7 +23,7 @@ how the downstream tau relations are generated.
 from __future__ import annotations
 
 from .arith import Rat, binomial, pochhammer
-from .forms import Form, _e2_power, _monomial, e2, eisenstein
+from .forms import Form, _power, e2, eisenstein
 from .qseries import QSeries, linear_combination
 
 
@@ -81,7 +81,7 @@ def serre(f: Form, m: int) -> Form:
     k, prec = f.weight, f.prec
 
     def term(r: int) -> QSeries:
-        return _e2_power(m - r, prec) * f.series.derive(r) if r < m else f.series.derive(r)
+        return _power(2, m - r, prec) * f.series.derive(r) if r < m else f.series.derive(r)
 
     total = linear_combination([(c, r) for r, c in enumerate(_serre_coeffs(k, m))], term, prec)
     return Form(k + 2 * m, total, is_cusp=f.is_cusp)
@@ -149,7 +149,7 @@ def _serre_seed_series(l: int, n_index: int, m: int, prec: int) -> QSeries:
     Builds the raw seed without the growth check of :func:`serre_seed`.
     """
     terms = [(c * n_index**r, m - r) for r, c in enumerate(_serre_coeffs(l, m))]
-    return linear_combination(terms, lambda j: _e2_power(j, prec), prec)
+    return linear_combination(terms, lambda j: _power(2, j, prec), prec)
 
 
 def serre_seed(l: int, n_index: int, m: int, prec: int = 64) -> QSeries:
@@ -178,7 +178,7 @@ def ramanujan_derivatives(prec: int = 200) -> tuple[QSeries, QSeries, QSeries]:
     E2s = e2(prec).series
     E4s = eisenstein(4, prec).series
     E6s = eisenstein(6, prec).series
-    r1 = E2s.derive(1) - (_e2_power(2, prec) - E4s).scale(Rat(1, 12))
+    r1 = E2s.derive(1) - (_power(2, 2, prec) - E4s).scale(Rat(1, 12))
     r2 = E4s.derive(1) - (E2s * E4s - E6s).scale(Rat(1, 3))
-    r3 = E6s.derive(1) - (E2s * E6s - _monomial(2, 0, prec)).scale(Rat(1, 2))
+    r3 = E6s.derive(1) - (E2s * E6s - _power(4, 2, prec)).scale(Rat(1, 2))
     return r1, r2, r3

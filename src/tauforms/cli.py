@@ -15,9 +15,9 @@ errors.  Every usage error prints one ``error:`` line to stderr: an unknown
 subcommand, a missing or malformed argument, an expression that does not
 parse or type-check, an argument out of range, a table beyond the kernel's
 limit, a ``--tol`` that is not positive and finite, a ``--csv`` path that
-cannot be written (refused before any work), or a ``TAUFORMS_PREC_BITS``
-that is not an integer >= 16.  ``TAUFORMS_PREC_BITS`` overrides the default
-256-bit float precision.
+cannot be written (refused before any work), or a ``--prec-bits`` or
+``TAUFORMS_PREC_BITS`` outside 16..4096 (``lseries.MAX_PREC_BITS``).
+``TAUFORMS_PREC_BITS`` overrides the default 256-bit float precision.
 
 Every command but ``selftest`` (which prints each check as it ends) formats
 its whole output before printing it, so a command that fails leaves stdout

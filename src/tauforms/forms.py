@@ -138,38 +138,30 @@ def eisenstein(k: int, prec: int) -> Form:
     """Normalized weight-k Eisenstein series 1 - (2k/B_k) sum sigma_{k-1}(n) q^n."""
     if k % 2 or k < 4:
         raise ValueError(f"Eisenstein weight must be even and >= 4 (for weight 2 use e2), got {k}")
+    return Form(k, _eisenstein_series(k, prec))
+
+
+def e2(prec: int) -> Form:
+    """The quasimodular series of weight 2: 1 - 24 sum sigma_1(n) q^n."""
+    return Form(2, _eisenstein_series(2, prec), quasimodular=True)
+
+
+def _eisenstein_series(k: int, prec: int) -> QSeries:
+    """The stored E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n for even k >= 2 (B_2 = 1/6 gives E2's -24)."""
 
     def build(p: int) -> QSeries:
         c = Rat(-2 * k) / bernoulli(k)
         sig = sigma_sieve(k - 1, p - 1)
         return QSeries._from_ints([c.denominator] + [c.numerator * x for x in sig[1:]], c.denominator)
 
-    return Form(k, _series(("E", k), prec, build))
-
-
-def e2(prec: int) -> Form:
-    """The quasimodular series of weight 2: 1 - 24 sum sigma_1(n) q^n."""
-    series = _series(("E2", 1), prec, lambda p: QSeries._from_ints([1] + [-24 * x for x in sigma_sieve(1, p - 1)[1:]]))
-    return Form(2, series, quasimodular=True)
-
-
-def _e2_power(r: int, prec: int) -> QSeries:
-    """E2^r; E2 and each power r >= 2 are store entries, E2^r made as E2^(r-1) E2."""
-    if r == 0:
-        return QSeries.one(prec)
-    return _chain([(("E2", j), 2) for j in range(r, 1, -1)], 2, prec)
-
-
-def _e_series(k: int, prec: int) -> QSeries:
-    """The stored series E_k, E2 for k = 2."""
-    return (e2(prec) if k == 2 else eisenstein(k, prec)).series
+    return _series(("E", k, 1), prec, build)
 
 
 def sigma_from_eisenstein(a: int, nmax: int) -> list[int]:
     """[0, sigma_a(1), ..., sigma_a(nmax)] for odd a >= 1, read from the stored
     E_{a+1} (E2 for a = 1), whose q^n coefficient is sigma_a(n) times its q^1
     coefficient; no sieve runs when that series is already long enough."""
-    series = _e_series(a + 1, max(nmax, 1) + 1)
+    series = _eisenstein_series(a + 1, max(nmax, 1) + 1)
     c = series.num[1]
     return [0] + [x // c for x in series.num[1 : nmax + 1]]
 
@@ -195,11 +187,12 @@ def delta(prec: int) -> Form:
 # ---------------------------------------------------------------------------
 # The one store, each entry indexed by n on its last axis: the two int64 words
 # of tau as a 2 x (n + 1) array under "tau words", sigma_a as an int64 array
-# under ("sigma", a), the limbs of the L-series weights under ("weights", s, G)
-# (kept by ``lseries``), and the exact q-series E_k, E2^r and E4^a E6^b under
-# ("E", k), ("E2", r) and ("E4^a E6^b", a, b).  ``_table`` holds the one growth
-# rule.  The lock is reentrant because some entries are built under it from
-# others: a weight table from the tau words, a power or monomial from a lower one.
+# under ("sigma", a), the limbs of the L-series weights under ("weights", s, G),
+# one guard G per s, and the exact q-series E_k^r under ("E", k, r): E_k for
+# every even k >= 2, and the powers of E2, E4 and E6 (``_power``).  ``_table``
+# holds the one growth rule.  The lock is reentrant because some entries are
+# built under it from others: a weight table from the tau words, a power from
+# a lower one.
 
 _tables_lock = threading.RLock()
 _tables: dict[object, np.ndarray | QSeries] = {}
@@ -217,13 +210,16 @@ def _grow(key, nmax: int) -> int | None:
     return None if size > nmax else max(nmax, min(size * 3 // 2, _kernels._MAX_PREC))
 
 
-def _table(key, nmax: int, build):
-    """The table ``key`` up to at least index nmax, from ``build(n)`` when too short (see ``_grow``)."""
+def _table(key, nmax: int, build, family: tuple = ()):
+    """The table ``key`` up to at least index nmax, from ``build(n)`` when too short (see ``_grow``);
+    a build first drops the other entries whose keys start with ``family``, a prefix of ``key``."""
     if nmax < 0:
         raise ValueError(f"table size must be >= 0, got {nmax}")
     with _tables_lock:
         n = _grow(key, nmax)
         if n is not None:
+            for old in [k for k in _tables if family and k[: len(family)] == family and k != key]:
+                del _tables[old]
             _tables[key] = build(n)
         return _tables[key]
 
@@ -236,28 +232,29 @@ def _series(key, prec: int, build) -> QSeries:
     return stored if stored.prec == prec else stored.truncate(prec)
 
 
-def _chain(links, base: int, prec: int) -> QSeries:
-    """The top of a chain of stored products to prec coefficients.
+def _power(k: int, r: int, prec: int) -> QSeries:
+    """E_k^r to prec coefficients, for r >= 0 and k in (2, 4, 6).
 
-    ``links`` lists (key, k) from the top down: the entry ``key`` is the entry
-    below it (E_base under the last link) times E_k (``_e_series``), made
-    at the length p that ``_grow`` gives it.  The walk down stops at the first
-    entry that is long enough, and the entries above it are built bottom-up,
-    so the call depth does not grow with the chain's length.  Each entry is
-    made as ``_series`` would make it, one product of its neighbour.
+    Each power r >= 2 is the store entry ("E", k, r), made as E_k^(r-1) E_k
+    at the length p that ``_grow`` gives it.  The walk down stops at the
+    first power that is long enough, and the powers above it are built
+    bottom-up, so the call depth does not grow with r.
     """
+    if r == 0:
+        return QSeries.one(prec)
     check_prec(prec)
     with _tables_lock:
         lengths, need = [], prec
-        for key, _ in links:
-            n = _grow(key, need - 1)
+        for j in range(r, 1, -1):
+            n = _grow(("E", k, j), need - 1)
             if n is None:
                 break
             need = min(n + 1, _kernels._MAX_PREC)
             lengths.append(need)
-        series = _tables[links[len(lengths)][0]] if len(lengths) < len(links) else _e_series(base, need)
-        for (key, k), p in reversed(list(zip(links, lengths))):
-            series = _tables[key] = series * _e_series(k, p)
+        top = r - len(lengths)
+        series = _tables[("E", k, top)] if top > 1 else _eisenstein_series(k, need)
+        for j, p in zip(range(top + 1, r + 1), reversed(lengths)):
+            series = _tables[("E", k, j)] = series * _eisenstein_series(k, p)
     return series if series.prec == prec else series.truncate(prec)
 
 
@@ -312,10 +309,8 @@ def mk_basis(k: int, prec: int) -> tuple[Form, ...]:
 
 
 def _monomial(a: int, b: int, prec: int) -> QSeries:
-    """E4^a E6^b for a + b >= 1; E4, E6 and each monomial of degree >= 2 are store
-    entries, the latter made as E4^a E6^(b-1) E6, or E4^(a-1) E4 when b = 0."""
-    chain = [(a, y) for y in range(b, 0, -1)] + [(x, 0) for x in range(a, 0, -1)]
-    return _chain([(("E4^a E6^b", x, y), 6 if y else 4) for x, y in chain[:-1]], 4 if a else 6, prec)
+    """E4^a E6^b for a + b >= 1: a stored power, or one product of two stored powers, itself not stored."""
+    return _power(4, a, prec) * _power(6, b, prec) if a and b else _power(4 if a else 6, a or b, prec)
 
 
 class BasisCoords(Record):

@@ -37,8 +37,8 @@ Python ints.  The envelope is screened in float64 and its few candidates
 compared exactly (:func:`_largest_term`).
 
 The tau words, sigma_a and the weight limbs live in the one store of
-``forms`` (beside the exact series E_k, E2^r and E4^a E6^b) with one growth
-rule: the first build is exact and a rebuild takes at least 1.5x the old
+``forms`` (beside the exact series E_k^r) with one growth rule: the first
+build is exact and a rebuild takes at least 1.5x the old
 length.  A weight table is built from the tau words, and sizes them to its own
 length.  The two sweeps size the tables up front:
 ``verify_sweep`` builds the weights (and so the tau words) once to
@@ -58,7 +58,7 @@ from mpmath import mp
 
 from .arith import DEFAULT_PREC_BITS, Rat, Record, mpf_str, rat_str, solve_exact
 from .calculus import rankin_cohen, serre
-from .forms import Form, _monomial, _table, _tables_lock, e12_delta_coords, eisenstein, tau, tau_words
+from .forms import Form, _monomial, _table, e12_delta_coords, eisenstein, tau, tau_words
 from .poincare import CONSTRUCTIONS, TauIdentity, catalog_identity, construction_seed
 from .qseries import QSeries, linear_combination
 from . import _kernels, forms
@@ -138,6 +138,8 @@ class LQuery(Record):
             raise ValueError("cutoff must be >= 1")
         if self.prec_bits < 16:
             raise ValueError("precision must be at least 16 bits")
+        if self.prec_bits > MAX_PREC_BITS:
+            raise ValueError(f"precision must be at most {MAX_PREC_BITS} bits, got {self.prec_bits}")
 
 
 class LResult(Record):
@@ -154,6 +156,9 @@ class LResult(Record):
 # ("weights", s, G), one guard G per s.
 
 _GUARD_BITS = 64
+#: The ceiling on ``prec_bits``, 16x the default.  A weight table holds (prec_bits + 64) // b + 1
+#: int32 rows of b-bit limbs: at the ceiling and u up to 10^6 (b = 22), 190 rows of 10^6 + 1, 760 MB.
+MAX_PREC_BITS = 4096
 # Lanes per block of the weight division and per chunk of the dot.
 _LANES_LOG = 13
 _LANES = 1 << _LANES_LOG
@@ -234,14 +239,11 @@ def _weights(s: int, umax: int, guard: int) -> tuple[int, np.ndarray]:
     """(bits, limbs) with W[u] = floor(tau(u) 2^guard / u^s) = sum_j limbs[j, u] 2^(bits j)
     for u = 1..umax (at least); column 0 is zero.
 
-    The table grows by the store's rule; a table of another guard for the
-    same s is dropped, so the store keeps one weight table per s.
+    The table grows by the store's rule; its build drops a table of another
+    guard for the same s, so the store keeps one weight table per s.
     """
     key = ("weights", s, guard)
-    with _tables_lock:
-        for old in [k for k in forms._tables if k[:2] == key[:2] and k != key]:
-            del forms._tables[old]
-        limbs = _table(key, umax, lambda n: _weight_limbs(tau_words(n), s, guard, n)[1])
+    limbs = _table(key, umax, lambda n: _weight_limbs(tau_words(n), s, guard, n)[1], family=key[:2])
     return _limb_bits(limbs.shape[1] - 1), limbs
 
 
@@ -565,11 +567,11 @@ class PeterssonReport(Record):
 
 def petersson_recover(prec_bits: int = DEFAULT_PREC_BITS) -> PeterssonReport:
     """Invert each m = 0 closed form into an estimate of <Delta, Delta>."""
-    ests = []
+    ests, values = [], lvalues_m0(prec_bits=prec_bits)
     with mp.workprec(prec_bits):
         ref = mp.mpf(PETERSSON_REF)
         pi11 = _pi11(prec_bits)
-        for val in lvalues_m0(prec_bits=prec_bits):
+        for val in values:
             const = val.constant
             est = val.numeric / (mp.mpf(int(const.numerator)) / mp.mpf(int(const.denominator)) * pi11)
             dev = abs(est - ref) / ref
@@ -600,8 +602,8 @@ def exact_lhs_catalog(prec: int = 200) -> list[ExactIdentity]:
     P_{l,0} = E_l: ("serre", r) is ``serre(E_l, r)`` and ("rc", k, n) is
     ``rankin_cohen(E_k, E_l, n)``.  Each bracket is made once per unordered
     pair, with [g, f]_n = (-1)^n [f, g]_n, and an order-0 bracket of E4 and
-    E6 is read from the store as E4^a E6^b.  A row's terms are summed as
-    series, and the sum is the weight-12 form.  The decomposition is certified
+    E6 is the monomial E4^a E6^b from the stored powers.  A row's terms are
+    summed as series, and the sum is the weight-12 form.  The decomposition is certified
     coefficientwise by ``in_basis``; a nonzero residual raises.
     """
     brackets = {}

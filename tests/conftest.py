@@ -13,8 +13,9 @@ settings.load_profile("tauforms")
 
 @pytest.fixture
 def fresh_tables(monkeypatch):
-    """An empty table store (tau words, sigma, weights and the exact series E_k,
-    E2^r and E4^a E6^b), and a log of every kernel build.
+    """An empty table store (tau words, sigma, weights and the exact series
+    E_k^r) and a cold ``forms._e12_delta_matrix`` memo, before and after the
+    test, and a log of every kernel build.
 
     The returned list gets ``("tau", nmax)`` for each ``eta24_modp`` build (the
     FFT build of tau(1..nmax), whichever table asked for it) and ``(a, nmax)``
@@ -36,7 +37,9 @@ def fresh_tables(monkeypatch):
     monkeypatch.setattr(forms, "_tables", {})
     monkeypatch.setattr(_kernels, "eta24_modp", eta24_modp)
     monkeypatch.setattr(_kernels, "sigma_range", sigma_range)
-    return built
+    forms._e12_delta_matrix.cache_clear()
+    yield built
+    forms._e12_delta_matrix.cache_clear()
 
 
 @pytest.fixture

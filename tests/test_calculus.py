@@ -269,13 +269,13 @@ def test_exact_series_live_in_the_table_store(fresh_tables, monkeypatch):
     e2s = QSeries([1] + [-24 * sigma(1, n) for n in range(1, top)])
     e4, e6 = eis(4), eis(6)
     requests = {  # store key: (request at prec p, reference to prec top)
-        ("E", 4): (lambda p: eisenstein(4, p).series, e4),
-        ("E", 6): (lambda p: eisenstein(6, p).series, e6),
-        ("E", 10): (lambda p: eisenstein(10, p).series, eis(10)),
-        ("E2", 1): (lambda p: e2(p).series, e2s),
-        ("E2", 3): (lambda p: calculus._e2_power(3, p), e2s * e2s * e2s),
-        ("E4^a E6^b", 3, 0): (lambda p: forms.mk_basis(12, p)[0].series, e4 * e4 * e4),
-        ("E4^a E6^b", 0, 2): (lambda p: forms.mk_basis(12, p)[1].series, e6 * e6),
+        ("E", 4, 1): (lambda p: eisenstein(4, p).series, e4),
+        ("E", 6, 1): (lambda p: eisenstein(6, p).series, e6),
+        ("E", 10, 1): (lambda p: eisenstein(10, p).series, eis(10)),
+        ("E", 2, 1): (lambda p: e2(p).series, e2s),
+        ("E", 2, 3): (lambda p: calculus._power(2, 3, p), e2s * e2s * e2s),
+        ("E", 4, 3): (lambda p: forms.mk_basis(12, p)[0].series, e4 * e4 * e4),
+        ("E", 6, 2): (lambda p: forms.mk_basis(12, p)[1].series, e6 * e6),
     }
 
     def request_all(precs):
@@ -288,7 +288,7 @@ def test_exact_series_live_in_the_table_store(fresh_tables, monkeypatch):
     assert [n + 1 for a, n in sieves if a == 3] == [10, 16, 25, 38, 58, 88, 133]
     stored = dict(forms._tables)
     # one entry per series key, and the lower entries that E2^3 and E4^3 are made from
-    assert set(stored) == set(requests) | {("E2", 2), ("E4^a E6^b", 2, 0)}
+    assert set(stored) == set(requests) | {("E", 2, 2), ("E", 4, 2)}
     assert all(s.prec <= 1.5 * top for s in stored.values())
     built = list(sieves)
     request_all(range(top, 9, -1))
@@ -299,7 +299,7 @@ def test_exact_series_live_in_the_table_store(fresh_tables, monkeypatch):
 def test_each_exact_product_is_made_once(fresh_tables, products, capsys):
     # The benchmark's exact op list at seed 3, in one process: selftest,
     # derive_identity for the six ids at m = 28, and one bracket's basis.
-    from tauforms import cli, poincare
+    from tauforms import cli, forms, poincare
 
     assert cli.main(["selftest", "--prec", "200"]) == 0
     for ident in ("kumar", "herrero", "s10sig1", "s10sig3", "s9sig1", "s8sig1"):
@@ -308,6 +308,9 @@ def test_each_exact_product_is_made_once(fresh_tables, products, capsys):
     capsys.readouterr()
     calls, distinct = len(products), len(set(products))
     assert distinct and calls == distinct, f"{calls} products, {distinct} distinct"
+    # the store's exact series are E_k and the powers of E2, E4 and E6 alone
+    series_keys = [key for key, table in forms._tables.items() if isinstance(table, QSeries)]
+    assert series_keys and all(key[0] == "E" and len(key) == 3 for key in series_keys), series_keys
 
 
 def test_public_names_resolve_once():

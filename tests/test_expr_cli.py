@@ -410,6 +410,39 @@ def test_cli_csv_to_a_missing_directory_exits_2_with_one_line(argv, capsys, tmp_
     assert fresh_tables == []  # the path is refused before any table is built
 
 
+@pytest.mark.parametrize("source", ["--prec-bits", "TAUFORMS_PREC_BITS"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(_verify_tau(1, 1, "--cutoff", "100"), id="verify-tau"),
+        pytest.param(["lvalues", "--cutoff", "100"], id="lvalues"),
+        pytest.param(["petersson"], id="petersson"),
+    ],
+)
+def test_cli_precision_above_the_ceiling_exits_2_before_any_table(argv, source, capsys, monkeypatch, fresh_tables):
+    bits = str(lseries.MAX_PREC_BITS + 1)
+    monkeypatch.delenv("TAUFORMS_PREC_BITS", raising=False)
+    if source == "--prec-bits":
+        argv = [*argv, "--prec-bits", bits]
+    else:
+        monkeypatch.setenv("TAUFORMS_PREC_BITS", bits)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err == f"error: precision must be at most {lseries.MAX_PREC_BITS} bits, got {bits}\n"
+    assert fresh_tables == []
+
+
+def test_cli_precision_at_the_ceiling_is_accepted(capsys, monkeypatch, fresh_tables):
+    monkeypatch.delenv("TAUFORMS_PREC_BITS", raising=False)
+    code = main([*_verify_tau(1, 1, "--cutoff", "100"), "--prec-bits", str(lseries.MAX_PREC_BITS)])
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and err == ""
+    assert out.startswith("kumar m=1: tau(m)=1 ") and "cutoff=100 " in out
+    assert fresh_tables == [("tau", 101), (1, 100)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -605,9 +638,9 @@ def test_cli_serre_derivative_of_high_order(fresh_tables, capsys):
 
 def test_cli_basis_of_a_long_monomial_chain(fresh_tables, capsys):
     # `basis "E4^250" --prec 100` (weight 1000, a chain of 249 stored powers of
-    # E4) spends about 45 s in the exact solve.  Weight 240 makes a chain of 59,
-    # which a call nested per link would carry past a recursion limit set 150
-    # frames above this test's own depth.
+    # E4) spends about 34 s in the exact solve (`arith._bareiss`).  Weight 240
+    # makes a chain of 59, which a call nested per link would carry past a
+    # recursion limit set 150 frames above this test's own depth.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 150)
     try:

@@ -51,18 +51,32 @@ def test_sigma_from_eisenstein_matches_the_sieve(a, fresh_tables):
 
 
 def test_long_chains_of_powers_and_monomials_recurse_once(fresh_tables):
-    # Each power and monomial is one store entry, made from its neighbour.
+    # Each power of E2, E4 and E6 is one store entry, made from its neighbour.
     # Chains of 240 to 300 links would pass the default recursion limit if each
     # link nested its calls; they are built bottom-up.  Shorter entries stored
-    # first make the walk stop part-way, and the entries above are grown.
-    E2, E4, E6 = e2(9).series, eisenstein(4, 9).series, eisenstein(6, 9).series
-    for r, prec in ((40, 5), (300, 4), (300, 9), (7, 9)):
-        assert forms_mod._e2_power(r, prec) == (E2**r).truncate(prec), (r, prec)
+    # first make the walk stop part-way (E4^3 for E4^250 at 5 coefficients,
+    # E6^2 for E6^260 and E6^240), and the entries above are grown.
+    E = {k: forms_mod._eisenstein_series(k, 9) for k in (2, 4, 6)}
+    E4, E6 = E[4], E[6]
+    for k, r, prec in (
+        (2, 40, 5), (2, 300, 4), (2, 300, 9), (2, 7, 9),
+        (4, 3, 6), (4, 250, 5), (4, 250, 9), (4, 1, 7),
+        (6, 2, 9), (6, 260, 3), (6, 240, 7), (6, 0, 4),
+    ):
+        assert forms_mod._power(k, r, prec) == (E[k] ** r).truncate(prec), (k, r, prec)
     for a, b, prec in ((3, 0, 6), (250, 0, 5), (250, 0, 9), (2, 240, 7), (0, 260, 3)):
         assert forms_mod._monomial(a, b, prec) == (E4**a * E6**b).truncate(prec), (a, b, prec)
     assert [m.series for m in mk_basis(1000, 4)] == [
         (E4**a * E6**b).truncate(4) for a, b in forms_mod._monomial_exponents(1000)
     ]
+
+
+def test_a_basis_stores_only_the_powers_of_e4_and_e6(fresh_tables, products):
+    # Weight 1000: E4^250 and E6^166 top two chains of stored powers (249 and 165
+    # products), and each of the 83 mixed monomials is one product of two powers.
+    mk_basis(1000, 4)
+    assert len(products) == 249 + 165 + 83 == 497
+    assert sorted(forms_mod._tables) == [("E", 4, r) for r in range(1, 251)] + [("E", 6, r) for r in range(1, 167)]
 
 
 def test_eisenstein_coefficients():

@@ -6,7 +6,7 @@ from tauforms import poincare
 from tauforms.arith import InconsistentSystem, Rat
 from tauforms.calculus import rc_seed, serre_seed
 from tauforms.forms import delta, e2, eisenstein, one, sigma
-from tauforms.forms import _e2_power
+from tauforms.forms import _power
 from tauforms.lseries import M0_CONSTANTS
 from tauforms.poincare import (
     CONSTRUCTIONS,
@@ -226,8 +226,8 @@ def m0_reference_seeds(prec: int) -> dict[str, QSeries]:
         "serre_p10": serre_seed(10, 0, 1, prec),
         "e4_shift": e4.series,
         "bracket_e4_p6": e4.series.derive(1).scale(-6),
-        "serre2_p8": _e2_power(2, prec).scale(Rat(1, 2)),
-        "serre3_p6": (eisenstein(6, prec).series - _e2_power(3, prec)).scale(Rat(7, 36)),
+        "serre2_p8": _power(2, 2, prec).scale(Rat(1, 2)),
+        "serre3_p6": (eisenstein(6, prec).series - _power(2, 3, prec)).scale(Rat(7, 36)),
         "fourth_order": e2(prec).series.derive(3).scale(Rat(35, 3)),
     }
 
