@@ -18,6 +18,9 @@ limit, a ``--tol`` that is not positive and finite, a ``--csv`` path that
 cannot be written (refused before any work), or a ``--prec-bits`` or
 ``TAUFORMS_PREC_BITS`` outside 16..4096 (``lseries.MAX_PREC_BITS``).
 ``TAUFORMS_PREC_BITS`` overrides the default 256-bit float precision.
+``lseries.LQuery`` checks the precision and m + cutoff of a numeric request
+before any table is built, and ``forms.tau`` the n of ``tau``; only
+``verify-tau``'s m range is bounded here, before the sweep walks it.
 
 Every command but ``selftest`` (which prints each check as it ends) formats
 its whole output before printing it, so a command that fails leaves stdout
@@ -81,21 +84,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _prec_bits(args) -> int:
-    """Float precision from --prec-bits, else TAUFORMS_PREC_BITS, else the default."""
-    env = os.environ.get("TAUFORMS_PREC_BITS")
+    """Float precision from --prec-bits, else TAUFORMS_PREC_BITS, else the default;
+    ``lseries.LQuery`` checks its range."""
     if args.prec_bits is not None:
-        bits, source = args.prec_bits, "--prec-bits"
-    elif env:
-        source = "TAUFORMS_PREC_BITS"
-        try:
-            bits = int(env)
-        except ValueError:
-            raise ValueError(f"{source} must be an integer, got {env!r}") from None
-    else:
+        return args.prec_bits
+    env = os.environ.get("TAUFORMS_PREC_BITS")
+    if not env:
         return DEFAULT_PREC_BITS
-    if bits < 16:
-        raise ValueError(f"{source} must be at least 16, got {bits}")
-    return bits
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"TAUFORMS_PREC_BITS must be an integer, got {env!r}") from None
 
 
 def cmd_expand(args) -> int:
@@ -177,6 +176,7 @@ def _write(args, csv_fh, reports: list, payload, lines: list[str]) -> int:
 
 def cmd_verify_tau(args) -> int:
     prec = _prec_bits(args)
+    # Bounded here: the sweep walks the whole m range (min, max) before its LQuery checks one m.
     if not 1 <= args.m_from <= args.m_to <= _MAX_PREC:
         raise ValueError(f"need 1 <= m-from <= m-to <= {_MAX_PREC}")
     ms = range(args.m_from, args.m_to + 1)
@@ -218,8 +218,6 @@ def cmd_petersson(args) -> int:
 
 
 def cmd_tau(args) -> int:
-    if args.n < 1:
-        raise ValueError("tau(n) needs n >= 1")
     print(tau(args.n))
     return EXIT_PASS
 

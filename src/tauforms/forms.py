@@ -375,20 +375,20 @@ def in_basis(f: Form) -> BasisCoords:
 
 
 @cache
-def _e12_delta_matrix() -> tuple[BasisCoords, BasisCoords]:
-    # Constants: the weight-12 Sturm bound is 2, so 12 coefficients certify E12's.
-    # Delta = (E4^3 - E6^2)/1728 needs no tau table (``test_in_basis_delta`` checks
-    # it against the kernel's tau on 400 coefficients).
-    return in_basis(eisenstein(12, 12)), BasisCoords(12, (((3, 0), Rat(1, 1728)), ((0, 2), Rat(-1, 1728))))
+def _e12_delta_matrix() -> BasisCoords:
+    # E12's coordinates; the weight-12 Sturm bound is 2, so 12 coefficients certify them.
+    return in_basis(eisenstein(12, 12))
 
 
 def e12_delta_coords(f: Form) -> tuple[Rat, Rat]:
-    """Coordinates of a weight-12 form on {E12, Delta}."""
+    """Coordinates (x, y) of a weight-12 form on {E12, Delta}, read off its two monomial coordinates.
+
+    E12, E4^3 and E6^2 have constant term 1 and Delta = (E4^3 - E6^2)/1728
+    has none, so x is the sum of f's coordinates c on E4^3 and E6^2, and
+    the E4^3 coordinates give y = 1728 (c(3,0) - x e(3,0)), e being E12's.
+    """
     if f.weight != 12:
         raise ValueError("E12/Delta coordinates only exist in weight 12")
-    coords = in_basis(f)
-    e12c, deltac = _e12_delta_matrix()
-    cols = [[e12c.coeff(3, 0), e12c.coeff(0, 2)], [deltac.coeff(3, 0), deltac.coeff(0, 2)]]
-    target = [coords.coeff(3, 0), coords.coeff(0, 2)]
-    x = solve_exact(cols, target)
-    return x[0], x[1]
+    c, e = in_basis(f), _e12_delta_matrix()
+    x = c.coeff(3, 0) + c.coeff(0, 2)
+    return x, 1728 * (c.coeff(3, 0) - x * e.coeff(3, 0))

@@ -58,7 +58,7 @@ from mpmath import mp
 
 from .arith import DEFAULT_PREC_BITS, Rat, Record, mpf_str, rat_str, solve_exact
 from .calculus import rankin_cohen, serre
-from .forms import Form, _monomial, _table, e12_delta_coords, eisenstein, tau, tau_words
+from .forms import Form, _monomial, _monomial_exponents, _table, dim_mk, e12_delta_coords, eisenstein, tau, tau_words
 from .poincare import CONSTRUCTIONS, TauIdentity, catalog_identity, construction_seed
 from .qseries import QSeries, linear_combination
 from . import _kernels, forms
@@ -114,8 +114,11 @@ class LQuery(Record):
     """One shifted L-series evaluation request, checked once when it is made.
 
     Every numeric entry point builds its requests before it sizes any table,
-    so an input outside the contract is refused before any work.  A
-    ``cutoff`` of None takes the tier cutoff of s.
+    so an input outside the contract is refused before any work and leaves
+    the store as it was: (a, s) outside the catalog, m < 0, a cutoff below 1,
+    m + cutoff beyond the tau table's limit ``_kernels._MAX_PREC`` (10^6),
+    or ``prec_bits`` outside 16..``MAX_PREC_BITS``.  A ``cutoff`` of None
+    takes the tier cutoff of s.
     """
 
     m: int
@@ -136,8 +139,10 @@ class LQuery(Record):
             object.__setattr__(self, "cutoff", TIERS[self.s][0])
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
+        if (size := self.m + self.cutoff) > _kernels._MAX_PREC:
+            raise ValueError(f"m + cutoff must be at most {_kernels._MAX_PREC} (the tau table's limit), got {size}")
         if self.prec_bits < 16:
-            raise ValueError("precision must be at least 16 bits")
+            raise ValueError(f"precision must be at least 16 bits, got {self.prec_bits}")
         if self.prec_bits > MAX_PREC_BITS:
             raise ValueError(f"precision must be at most {MAX_PREC_BITS} bits, got {self.prec_bits}")
 
@@ -601,16 +606,19 @@ def exact_lhs_catalog(prec: int = 200) -> list[ExactIdentity]:
     Each row of ``poincare.CONSTRUCTIONS`` is evaluated at m = 0, where
     P_{l,0} = E_l: ("serre", r) is ``serre(E_l, r)`` and ("rc", k, n) is
     ``rankin_cohen(E_k, E_l, n)``.  Each bracket is made once per unordered
-    pair, with [g, f]_n = (-1)^n [f, g]_n, and an order-0 bracket of E4 and
-    E6 is the monomial E4^a E6^b from the stored powers.  A row's terms are
+    pair, with [g, f]_n = (-1)^n [f, g]_n.  An order-0 bracket of two E_k
+    with dim M_k = 1, each its one monomial (E8 = E4^2, E10 = E4 E6,
+    E14 = E4^2 E6), is the monomial E4^a E6^b from the stored powers, so
+    E4 E8 is the E4^3 that ``in_basis`` makes anyway.  A row's terms are
     summed as series, and the sum is the weight-12 form.  The decomposition is certified
     coefficientwise by ``in_basis``; a nonzero residual raises.
     """
     brackets = {}
 
     def bracket(k: int, l: int, n: int) -> QSeries:
-        if n == 0 and {k, l} <= {4, 6}:
-            return _monomial((k == 4) + (l == 4), (k == 6) + (l == 6), prec)
+        if n == 0 and dim_mk(k) == dim_mk(l) == 1:
+            [(a, b)], [(c, d)] = _monomial_exponents(k), _monomial_exponents(l)
+            return _monomial(a + c, b + d, prec)
         lo, hi = sorted((k, l))
         if (lo, hi, n) not in brackets:
             brackets[lo, hi, n] = rankin_cohen(eisenstein(lo, prec), eisenstein(hi, prec), n).series

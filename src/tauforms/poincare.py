@@ -61,9 +61,6 @@ class Growth(Record):
             return cls(ZERO, 0)
         return cls(Rat(2 * m - 1), +1)
 
-    def deriv(self, j: int) -> "Growth":
-        return Growth(self.exponent + j, self.eps_sign)
-
     def join(self, other: "Growth") -> "Growth":
         """Growth of a sum: the larger exponent wins."""
         if (self.exponent, self.eps_sign) >= (other.exponent, other.eps_sign):
@@ -161,34 +158,17 @@ class TauRelation(Record):
             raise ValueError(f"relation stream prepared to n={self.cutoff}, asked for n={n}")
         return Rat(self.num[n], self.den)
 
-    def to_json(self) -> str:
-        import json
 
-        return json.dumps(
-            {
-                "m": self.m,
-                "terms": [{"n": n, "coeff": rat_str(c)} for n, c in enumerate(self.coeffs)],
-                "cutoff": self.cutoff,
-            }
-        )
+def reduce_weight12(p: FormalPoincare, m_shift: int) -> TauRelation:
+    """Reduce a vanishing weight-12 average to its tau relation.
 
-
-def reduce_weight12(p: FormalPoincare, m_shift: int | None = None):
-    """Reduce a weight-12 average to its cuspidal content.
-
-    With ``m_shift`` given, the average is of a seed supported on q^m and
-    beyond that is known to vanish (a bracket or Serre derivative of a
-    vanishing exponential average); the result is the
-    :class:`TauRelation` 0 = sum c_n P_{12,m+n} with c_n read off the seed.
-
-    Without ``m_shift`` the seed's average is a known nonzero form and the
-    return value is the pair (a0, stream of c_n for n >= 1), describing
-    a0 E_12 plus the cusp part sum c_n P_{12,n}.
+    The average is of a seed supported on q^m, m = ``m_shift``, and beyond
+    that is known to vanish (a bracket or Serre derivative of a vanishing
+    exponential average); the result is the :class:`TauRelation`
+    0 = sum c_n P_{12,m+n} with c_n read off the seed.
     """
     if p.weight != 12:
         raise ValueError(f"reduction weight 12 does not match the average's weight {p.weight}")
-    if m_shift is None:
-        return p.seed[0], tuple(p.seed.coeffs[1:])
     if m_shift < 1:
         raise ValueError("relation base index must be >= 1")
     if p.seed.prec <= m_shift:

@@ -306,11 +306,20 @@ def test_each_exact_product_is_made_once(fresh_tables, products, capsys):
         poincare.derive_identity(ident, 28, cutoff=300)
     assert cli.main(["basis", "RC(E6,E8,2)", "--prec", "150"]) == 0
     capsys.readouterr()
-    calls, distinct = len(products), len(set(products))
+    # keyed on the series multiplied, in either order: E4 E8 and E4^2 E4 are one product
+    calls, distinct = len(products), len({tuple(sorted(pair)) for pair in products})
     assert distinct and calls == distinct, f"{calls} products, {distinct} distinct"
     # the store's exact series are E_k and the powers of E2, E4 and E6 alone
     series_keys = [key for key, table in forms._tables.items() if isinstance(table, QSeries)]
     assert series_keys and all(key[0] == "E" and len(key) == 3 for key in series_keys), series_keys
+
+
+def test_weights_of_one_monomial_read_the_stored_powers(fresh_tables):
+    # dim M_k = 1: E8 = E4^2, E10 = E4 E6 and E14 = E4^2 E6, as the catalog's order-0 brackets take them
+    from tauforms import forms
+
+    for k, (a, b) in ((8, (2, 0)), (10, (1, 1)), (14, (2, 1))):
+        assert forms._monomial(a, b, 200) == eisenstein(k, 200).series, k
 
 
 def test_public_names_resolve_once():

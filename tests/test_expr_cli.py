@@ -434,6 +434,33 @@ def test_cli_precision_above_the_ceiling_exits_2_before_any_table(argv, source, 
     assert fresh_tables == []
 
 
+@pytest.mark.parametrize("source", ["--prec-bits", "TAUFORMS_PREC_BITS"])
+def test_cli_precision_below_the_floor_reads_like_the_ceiling(source, capsys, monkeypatch, fresh_tables):
+    monkeypatch.delenv("TAUFORMS_PREC_BITS", raising=False)
+    argv = ["lvalues", "--cutoff", "100"]
+    if source == "--prec-bits":
+        argv += ["--prec-bits", "8"]
+    else:
+        monkeypatch.setenv("TAUFORMS_PREC_BITS", "8")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: precision must be at least 16 bits, got 8\n")
+    assert fresh_tables == []
+
+
+def test_cli_a_table_beyond_the_limit_drops_nothing(capsys, monkeypatch, fresh_tables):
+    monkeypatch.delenv("TAUFORMS_PREC_BITS", raising=False)
+    assert main(_verify_tau(1, 1, "--cutoff", "100")) in (0, 1)
+    capsys.readouterr()
+    before = dict(forms._tables)
+    with pytest.raises(SystemExit) as exc:
+        main(_verify_tau(2, 2, "--cutoff", "999999"))
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", "error: m + cutoff must be at most 1000000 (the tau table's limit), got 1000001\n")
+    assert forms._tables.keys() == before.keys() and all(forms._tables[k] is t for k, t in before.items())
+
+
 def test_cli_precision_at_the_ceiling_is_accepted(capsys, monkeypatch, fresh_tables):
     monkeypatch.delenv("TAUFORMS_PREC_BITS", raising=False)
     code = main([*_verify_tau(1, 1, "--cutoff", "100"), "--prec-bits", str(lseries.MAX_PREC_BITS)])

@@ -2,7 +2,7 @@ import pytest
 
 import tauforms.forms as forms_mod
 from tauforms import _kernels
-from tauforms.arith import Rat, bernoulli
+from tauforms.arith import Rat, bernoulli, solve_exact
 from tauforms.forms import (
     Form,
     NotModularError,
@@ -252,6 +252,35 @@ def test_e12_delta_coordinates():
     assert (c_e12, c_delta) == (1, 0)
     c_e12, c_delta = e12_delta_coords(delta(12))
     assert (c_e12, c_delta) == (0, 1)
+
+
+def _e12_delta_by_solve(f):
+    """E12/Delta coordinates from the 2x2 system of E12's and Delta's monomial coordinates."""
+    c, e = in_basis(f), in_basis(eisenstein(12, 12))
+    cols = [[e.coeff(3, 0), e.coeff(0, 2)], [Rat(1, 1728), Rat(-1, 1728)]]
+    return tuple(solve_exact(cols, [c.coeff(3, 0), c.coeff(0, 2)]))
+
+
+def test_e12_delta_coordinates_match_the_two_by_two_solve(fresh_tables):
+    from tauforms.lseries import exact_lhs_catalog
+
+    prec = 40
+    e4, e6, e12, d = eisenstein(4, prec), eisenstein(6, prec), eisenstein(12, prec), delta(prec)
+    inputs = [e12, d, e4**3, e6**2, e12.scale(Rat(2, 3)) - d.scale(5)]
+    inputs += [entry.lhs for entry in exact_lhs_catalog(prec)]
+    for f in inputs:
+        assert e12_delta_coords(f) == _e12_delta_by_solve(f)
+    assert e12_delta_coords(inputs[4]) == (Rat(2, 3), -5)
+
+
+@pytest.mark.parametrize("quasimodular", [True, False])
+def test_e12_delta_coordinates_refuse_a_quasimodular_input(quasimodular):
+    f = Form(12, (e2(30) * eisenstein(10, 30)).series, quasimodular=quasimodular)
+    with pytest.raises(NotModularError) as direct:
+        in_basis(f)
+    with pytest.raises(NotModularError) as coords:
+        e12_delta_coords(f)
+    assert str(coords.value) == str(direct.value) and str(direct.value).startswith("not modular of this weight: ")
 
 
 def test_basis_coords_json():

@@ -327,6 +327,19 @@ def test_verify_sweep_refuses_a_low_precision_before_building(fresh_tables, veri
     assert fresh_tables == []
 
 
+def test_a_refused_request_leaves_the_store_as_it_was(fresh_tables):
+    # m + cutoff = 10^6 + 1 is beyond the tau table; the refusal comes before the
+    # new guard (300 + 64) would drop the stored weight table of s = 11.
+    verify_sweep("kumar", [1], cutoff=100)
+    before = dict(forms._tables)
+    assert ("weights", 11, 320) in before
+    with pytest.raises(ValueError, match=r"^m \+ cutoff must be at most 1000000 \(the tau table's limit\), got 1000001$"):
+        verify_sweep("kumar", [2], cutoff=999_999, prec_bits=300)
+    with pytest.raises(ValueError, match=r"got 1000001$"):
+        lvalues_m0(1_000_001)
+    assert forms._tables.keys() == before.keys() and all(forms._tables[k] is t for k, t in before.items())
+
+
 @pytest.mark.parametrize("prec_bits", [15, 0, -100])
 def test_m0_sums_refuse_a_low_precision_before_building(fresh_tables, prec_bits):
     with pytest.raises(ValueError, match="at least 16 bits"):
